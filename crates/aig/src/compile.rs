@@ -1,17 +1,21 @@
 //! Compilation of an [`Aig`] into a flat instruction buffer for
-//! bit-parallel batch evaluation.
+//! bit-parallel batch evaluation — the library's one 64-bit word
+//! simulator.
 //!
 //! [`Aig::eval`] walks the node vector once per pattern, dispatching on
 //! [`NodeKind`] and paying a fresh `Vec<bool>` of node values every call.
-//! That is fine for spot checks and hopeless for an oracle serving
-//! millions of queries. [`CompiledAig`] pays the walk once: the
-//! output-reachable AND cone is lowered, in the graph's native
-//! topological order, into a dense instruction buffer of packed `u32`
-//! operands indexing a flat register file — no enum dispatch, no hash
-//! lookups, no per-pattern allocation in the inner loop. Evaluation then
-//! processes 64 patterns at a time as `u64` words, the same bit-parallel
-//! trick [`crate::sim::SimVectors`] uses, but over the compiled buffer
-//! instead of the node graph.
+//! That is fine for spot checks and as a differential reference, and
+//! hopeless for an oracle serving millions of queries. [`CompiledAig`]
+//! pays the walk once: the output-reachable AND cone is lowered, in the
+//! graph's native topological order, into a dense instruction buffer of
+//! packed `u32` operands indexing a flat register file — no enum
+//! dispatch, no hash lookups, no per-pattern allocation in the inner
+//! loop. Evaluation then processes 64 patterns at a time as `u64` words.
+//! Oracle queries, random-pattern equivalence checks
+//! ([`crate::sim::probably_equivalent`]), PPA switching activity and
+//! OMLA signal signatures all run on it; per-node statistics come from
+//! [`CompiledAig::register_popcounts`] indexed by
+//! [`CompiledAig::register_of`].
 //!
 //! Register layout: register 0 is constant false, registers
 //! `1..=num_inputs` hold the primary inputs in input order, and each
@@ -26,11 +30,6 @@
 //! cannot affect outputs, so skipping them is observationally identity.
 
 use crate::aig::{Aig, NodeKind, Var};
-use std::fmt;
-
-/// Registers addressable by the packed `u32` operand encoding
-/// (`register << 1 | complement` must fit in a `u32`).
-pub const MAX_REGISTERS: usize = (u32::MAX >> 1) as usize;
 
 /// Sentinel register index for nodes outside the compiled cone.
 const DEAD: u32 = u32::MAX;
@@ -46,45 +45,6 @@ pub struct CompileStats {
     pub dead_skipped: usize,
 }
 
-/// Why a netlist could not be compiled.
-///
-/// The public [`Aig`] construction API cannot produce either case
-/// (outputs are bounds-checked on registration and node indices are
-/// `u32`), but the compiler is the front door for parsed and generated
-/// netlists, so it checks instead of indexing wild.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CompileError {
-    /// The register file would not fit the packed operand encoding.
-    TooManyNodes {
-        /// Registers the netlist would need.
-        needed: usize,
-    },
-    /// An output literal refers to a node outside the graph.
-    DanglingOutput {
-        /// Output position.
-        output: usize,
-        /// The nonexistent node the output names.
-        var: Var,
-    },
-}
-
-impl fmt::Display for CompileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CompileError::TooManyNodes { needed } => write!(
-                f,
-                "netlist needs {needed} registers, more than the {MAX_REGISTERS} the \
-                 packed operand encoding addresses"
-            ),
-            CompileError::DanglingOutput { output, var } => {
-                write!(f, "output {output} refers to nonexistent node {var}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CompileError {}
-
 /// An [`Aig`] compiled to a flat, topologically-sorted instruction
 /// buffer, evaluated 64 patterns per `u64` word.
 ///
@@ -99,7 +59,7 @@ impl std::error::Error for CompileError {}
 /// let b = aig.add_input();
 /// let f = aig.xor(a, b);
 /// aig.add_output(f);
-/// let code = CompiledAig::compile(&aig).expect("compiles");
+/// let code = CompiledAig::compile(&aig);
 /// assert_eq!(code.eval(&[true, false]), vec![true]);
 /// let words = code.eval_words(&[vec![0b1100], vec![0b1010]], 1);
 /// assert_eq!(words[0][0], 0b0110);
@@ -119,17 +79,23 @@ pub struct CompiledAig {
 
 impl CompiledAig {
     /// Compiles the output-reachable cone of `aig`.
-    pub fn compile(aig: &Aig) -> Result<CompiledAig, CompileError> {
+    ///
+    /// Compilation cannot fail. [`Lit`](crate::Lit) packs `var << 1`
+    /// into a `u32`, so an [`Aig`] holds at most 2^31 nodes and every
+    /// `register << 1 | complement` operand fits a `u32` too. Every
+    /// output names an existing node: the builder asserts it
+    /// ([`Aig::add_named_output`], [`Aig::set_output`],
+    /// [`Aig::rollback`]), and the `.bench` and AIGER parsers reject
+    /// undefined outputs before building.
+    pub fn compile(aig: &Aig) -> CompiledAig {
         let n = aig.num_nodes();
         let mut reachable = vec![false; n];
         let mut stack: Vec<Var> = Vec::new();
-        for (o, out) in aig.outputs().iter().enumerate() {
-            if out.var() as usize >= n {
-                return Err(CompileError::DanglingOutput {
-                    output: o,
-                    var: out.var(),
-                });
-            }
+        for out in aig.outputs() {
+            debug_assert!(
+                (out.var() as usize) < n,
+                "output {out:?} names a nonexistent node"
+            );
             stack.push(out.var());
         }
         let mut reachable_ands = 0usize;
@@ -146,10 +112,6 @@ impl CompiledAig {
         }
 
         let registers = 1 + aig.num_inputs() + reachable_ands;
-        if registers > MAX_REGISTERS {
-            return Err(CompileError::TooManyNodes { needed: registers });
-        }
-
         // Register 0 = constant, 1..=num_inputs = inputs in input order,
         // then one per compiled instruction in topological order.
         let mut reg_of = vec![DEAD; n];
@@ -183,7 +145,7 @@ impl CompiledAig {
             .iter()
             .map(|out| reg_of[out.var() as usize] << 1 | out.is_complement() as u32)
             .collect();
-        Ok(CompiledAig {
+        CompiledAig {
             num_inputs: aig.num_inputs(),
             instrs,
             out_taps,
@@ -193,7 +155,7 @@ impl CompiledAig {
                 registers,
                 dead_skipped: aig.num_ands() - reachable_ands,
             },
-        })
+        }
     }
 
     /// Number of primary inputs.
@@ -421,7 +383,6 @@ pub fn unpack_output_words(num_patterns: usize, output_words: &[Vec<u64>]) -> Ve
 mod tests {
     use super::*;
     use crate::aig::Lit;
-    use crate::sim::SimVectors;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -452,7 +413,7 @@ mod tests {
     fn compiled_matches_interpreter_on_random_graphs() {
         for seed in 0..8u64 {
             let aig = random_aig(seed, 6, 40, 4);
-            let code = CompiledAig::compile(&aig).expect("compiles");
+            let code = CompiledAig::compile(&aig);
             assert_eq!(code.num_inputs(), aig.num_inputs());
             assert_eq!(code.num_outputs(), aig.num_outputs());
             for bits in 0..64u32 {
@@ -467,19 +428,20 @@ mod tests {
     }
 
     #[test]
-    fn word_level_matches_sim_vectors() {
+    fn word_level_matches_the_node_walk() {
         for seed in 0..4u64 {
             let aig = random_aig(100 + seed, 9, 70, 5);
-            let code = CompiledAig::compile(&aig).expect("compiles");
+            let code = CompiledAig::compile(&aig);
             let num_words = 4;
             let mut rng = StdRng::seed_from_u64(seed);
             let input_words: Vec<Vec<u64>> = (0..aig.num_inputs())
                 .map(|_| (0..num_words).map(|_| rng.random()).collect())
                 .collect();
-            let sim = SimVectors::with_input_patterns(&aig, &input_words);
-            let out = code.eval_words(&input_words, num_words);
-            for (o, lit) in aig.outputs().iter().enumerate() {
-                assert_eq!(out[o], sim.lit_pattern(*lit), "seed {seed} output {o}");
+            let patterns = unpack_output_words(num_words * 64, &input_words);
+            let out =
+                unpack_output_words(num_words * 64, &code.eval_words(&input_words, num_words));
+            for (p, (pattern, got)) in patterns.iter().zip(&out).enumerate() {
+                assert_eq!(*got, aig.eval(pattern), "seed {seed} pattern {p}");
             }
         }
     }
@@ -487,7 +449,7 @@ mod tests {
     #[test]
     fn batch_roundtrip_matches_scalar_eval() {
         let aig = random_aig(7, 8, 50, 3);
-        let code = CompiledAig::compile(&aig).expect("compiles");
+        let code = CompiledAig::compile(&aig);
         let mut rng = StdRng::seed_from_u64(11);
         // 65 patterns straddles the word boundary.
         let patterns: Vec<Vec<bool>> = (0..65)
@@ -512,7 +474,7 @@ mod tests {
         let _dead1 = aig.or(a, b);
         let _dead2 = aig.xor(a, b);
         aig.add_output(keep);
-        let code = CompiledAig::compile(&aig).expect("compiles");
+        let code = CompiledAig::compile(&aig);
         assert_eq!(code.stats().instructions, 1);
         assert_eq!(code.stats().dead_skipped, aig.num_ands() - 1);
         assert_eq!(code.register_of(keep.var()), Some(3));
@@ -527,7 +489,7 @@ mod tests {
         let mut consts = Aig::new();
         consts.add_output(Lit::FALSE);
         consts.add_output(Lit::TRUE);
-        let code = CompiledAig::compile(&consts).expect("compiles");
+        let code = CompiledAig::compile(&consts);
         assert_eq!(code.eval(&[]), vec![false, true]);
         assert_eq!(code.stats().instructions, 0);
 
@@ -536,44 +498,50 @@ mod tests {
         let a = no_out.add_input();
         let b = no_out.add_input();
         let _ = no_out.and(a, b);
-        let code = CompiledAig::compile(&no_out).expect("compiles");
+        let code = CompiledAig::compile(&no_out);
         assert_eq!(code.eval(&[true, true]), Vec::<bool>::new());
         assert_eq!(code.stats().dead_skipped, 1);
 
         // Empty AIG.
         let empty = Aig::new();
-        let code = CompiledAig::compile(&empty).expect("compiles");
+        let code = CompiledAig::compile(&empty);
         assert!(code.eval(&[]).is_empty());
 
         // Input wired straight to an output (no instructions at all).
         let mut wire = Aig::new();
         let x = wire.add_input();
         wire.add_output(!x);
-        let code = CompiledAig::compile(&wire).expect("compiles");
+        let code = CompiledAig::compile(&wire);
         assert_eq!(code.eval(&[true]), vec![false]);
         assert_eq!(code.eval(&[false]), vec![true]);
     }
 
     #[test]
-    fn popcounts_agree_with_signal_probability() {
+    fn popcounts_agree_with_the_node_walk() {
         let aig = random_aig(42, 7, 30, 3);
-        let code = CompiledAig::compile(&aig).expect("compiles");
+        let code = CompiledAig::compile(&aig);
         let num_words = 8;
         let mut rng = StdRng::seed_from_u64(13);
         let input_words: Vec<Vec<u64>> = (0..aig.num_inputs())
             .map(|_| (0..num_words).map(|_| rng.random()).collect())
             .collect();
-        let sim = SimVectors::with_input_patterns(&aig, &input_words);
         let ones = code.register_popcounts(&input_words, num_words);
-        let total = (num_words * 64) as f64;
+        // Reference: the node walk on a clone exposing every node as an
+        // output, so internal node values become observable.
+        let mut every_node = aig.clone();
+        for v in aig.iter_vars() {
+            every_node.add_output(Lit::positive(v));
+        }
+        let mut walk_ones = vec![0u64; aig.num_nodes()];
+        for pattern in unpack_output_words(num_words * 64, &input_words) {
+            let values = every_node.eval(&pattern);
+            for (count, &on) in walk_ones.iter_mut().zip(&values[aig.num_outputs()..]) {
+                *count += u64::from(on);
+            }
+        }
         for v in aig.iter_vars() {
             if let Some(r) = code.register_of(v) {
-                let p = ones[r as usize] as f64 / total;
-                assert!(
-                    (p - sim.signal_probability(v)).abs() < 1e-12,
-                    "node {v}: compiled probability {p} vs sim {}",
-                    sim.signal_probability(v)
-                );
+                assert_eq!(ones[r as usize], walk_ones[v as usize], "node {v}");
             }
         }
         assert_eq!(ones[0], 0, "constant register never fires");
@@ -582,21 +550,13 @@ mod tests {
     #[test]
     fn eval_into_reuses_the_scratch_buffer() {
         let aig = random_aig(3, 5, 20, 2);
-        let code = CompiledAig::compile(&aig).expect("compiles");
+        let code = CompiledAig::compile(&aig);
         let mut scratch = code.make_scratch();
         for bits in 0..32u32 {
             let ins: Vec<bool> = (0..5).map(|i| (bits >> i) & 1 != 0).collect();
             assert_eq!(code.eval_into(&ins, &mut scratch), aig.eval(&ins));
         }
         assert_eq!(scratch.len(), code.num_registers());
-    }
-
-    #[test]
-    fn compile_errors_render() {
-        let e = CompileError::TooManyNodes { needed: 1 << 33 };
-        assert!(e.to_string().contains("registers"));
-        let e = CompileError::DanglingOutput { output: 2, var: 99 };
-        assert!(e.to_string().contains("output 2"));
     }
 
     #[test]
@@ -607,7 +567,7 @@ mod tests {
         let b = aig.add_input();
         let f = aig.and(a, b);
         aig.add_output(f);
-        let code = CompiledAig::compile(&aig).expect("compiles");
+        let code = CompiledAig::compile(&aig);
         code.eval(&[true]);
     }
 }

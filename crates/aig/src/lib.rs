@@ -5,9 +5,10 @@
 //! ABC synthesis system that the ALMOST paper relies on:
 //!
 //! - an append-only, structurally hashed [`Aig`] data structure ([`aig`]),
-//! - 64-bit parallel random simulation ([`sim`]), and a batch compiler
-//!   lowering the output cone to a flat instruction buffer for
-//!   oracle-grade throughput ([`compile`]),
+//! - a batch compiler lowering the output cone to a flat instruction
+//!   buffer, the crate's 64-bit word simulator ([`compile`]), with
+//!   random-pattern equivalence checks and ternary simulation on top
+//!   ([`sim`]),
 //! - truth tables up to 16 variables with NPN canonisation ([`truth`],
 //!   [`npn`]),
 //! - k-feasible cut enumeration ([`cut`]),
@@ -53,7 +54,7 @@ pub mod sim;
 pub mod truth;
 
 pub use crate::aig::{Aig, Lit, NodeKind, Var};
-pub use crate::compile::{CompileError, CompileStats, CompiledAig};
+pub use crate::compile::{CompileStats, CompiledAig};
 pub use crate::fraig::{fraig, fraig_with, FraigConfig, FraigStats};
 pub use crate::passes::{Pass, Script};
 pub use crate::truth::Tt;

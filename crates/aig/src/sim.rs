@@ -1,193 +1,21 @@
-//! Bit-parallel random simulation of AIGs.
+//! Random-pattern equivalence checks and ternary simulation.
 //!
-//! Simulation backs three users in this workspace: equivalence spot-checks in
-//! tests, divisor filtering in [resubstitution](crate::passes::resub), and
-//! switching-activity estimation for power analysis in `almost-netlist`.
+//! Two-valued word simulation lives in [`crate::compile`]:
+//! [`probably_equivalent`] compiles both graphs and compares their
+//! outputs on shared random words. Ternary (`0`/`1`/`X`) simulation
+//! backs the constant-candidate scan of the fraig engine.
 
-use crate::aig::{Aig, Lit, NodeKind, Var};
+use crate::aig::{Aig, NodeKind};
+use crate::compile::CompiledAig;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-
-/// Bit-parallel simulation vectors: one `Vec<u64>` of `num_words` words per
-/// node, 64 input patterns per word.
-///
-/// # Example
-///
-/// ```
-/// use almost_aig::Aig;
-/// use almost_aig::sim::SimVectors;
-///
-/// let mut aig = Aig::new();
-/// let a = aig.add_input();
-/// let b = aig.add_input();
-/// let f = aig.and(a, b);
-/// aig.add_output(f);
-/// let sim = SimVectors::random(&aig, 4, 42);
-/// let pa = sim.node_pattern(a.var());
-/// let pb = sim.node_pattern(b.var());
-/// let pf = sim.lit_pattern(f);
-/// for w in 0..4 {
-///     assert_eq!(pf[w], pa[w] & pb[w]);
-/// }
-/// ```
-#[derive(Clone, Debug)]
-pub struct SimVectors {
-    num_words: usize,
-    patterns: Vec<Vec<u64>>,
-}
-
-impl SimVectors {
-    /// Simulates `aig` on `num_words * 64` uniformly random input patterns
-    /// drawn from a deterministic generator seeded with `seed`.
-    pub fn random(aig: &Aig, num_words: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let input_patterns: Vec<Vec<u64>> = (0..aig.num_inputs())
-            .map(|_| (0..num_words).map(|_| rng.random()).collect())
-            .collect();
-        Self::with_input_patterns(aig, &input_patterns)
-    }
-
-    /// Simulates `aig` with caller-provided input patterns (one vector of
-    /// words per input).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of pattern vectors differs from the number of
-    /// inputs, or the vectors have inconsistent lengths.
-    pub fn with_input_patterns(aig: &Aig, input_patterns: &[Vec<u64>]) -> Self {
-        assert_eq!(input_patterns.len(), aig.num_inputs());
-        let num_words = input_patterns.first().map_or(1, Vec::len);
-        for p in input_patterns {
-            assert_eq!(p.len(), num_words, "inconsistent pattern lengths");
-        }
-        let mut patterns: Vec<Vec<u64>> = Vec::with_capacity(aig.num_nodes());
-        for v in aig.iter_vars() {
-            let row = match aig.node(v) {
-                NodeKind::Const0 => vec![0u64; num_words],
-                NodeKind::Input(i) => input_patterns[i as usize].clone(),
-                NodeKind::And(a, b) => {
-                    let (pa, pb) = (&patterns[a.var() as usize], &patterns[b.var() as usize]);
-                    let (ca, cb) = (a.is_complement(), b.is_complement());
-                    (0..num_words)
-                        .map(|w| {
-                            let wa = if ca { !pa[w] } else { pa[w] };
-                            let wb = if cb { !pb[w] } else { pb[w] };
-                            wa & wb
-                        })
-                        .collect()
-                }
-            };
-            patterns.push(row);
-        }
-        SimVectors {
-            num_words,
-            patterns,
-        }
-    }
-
-    /// Number of 64-bit words per node.
-    pub fn num_words(&self) -> usize {
-        self.num_words
-    }
-
-    /// Total number of simulated patterns.
-    pub fn num_patterns(&self) -> usize {
-        self.num_words * 64
-    }
-
-    /// The raw pattern words of node `var`.
-    pub fn node_pattern(&self, var: Var) -> &[u64] {
-        &self.patterns[var as usize]
-    }
-
-    /// The pattern of a literal (complemented if needed), as an owned vector.
-    pub fn lit_pattern(&self, lit: Lit) -> Vec<u64> {
-        let p = &self.patterns[lit.var() as usize];
-        if lit.is_complement() {
-            p.iter().map(|&w| !w).collect()
-        } else {
-            p.to_vec()
-        }
-    }
-
-    /// Fraction of simulated patterns on which the node evaluates to 1.
-    ///
-    /// Used as the signal probability for power estimation.
-    pub fn signal_probability(&self, var: Var) -> f64 {
-        let ones: u32 = self.patterns[var as usize]
-            .iter()
-            .map(|w| w.count_ones())
-            .sum();
-        ones as f64 / self.num_patterns() as f64
-    }
-
-    /// Estimate of switching activity: `2 p (1 - p)` where `p` is the signal
-    /// probability (the probability two independent consecutive patterns
-    /// differ).
-    pub fn switching_activity(&self, var: Var) -> f64 {
-        let p = self.signal_probability(var);
-        2.0 * p * (1.0 - p)
-    }
-
-    /// One pattern word of a literal (complemented on the fly).
-    ///
-    /// The allocation-free building block behind [`Self::lits_equal`] and
-    /// [`Self::lits_equal_across`]; prefer it over [`Self::lit_pattern`]
-    /// (which materialises an owned vector) anywhere comparisons happen in
-    /// a loop — the fraig class-refinement loop above all.
-    #[inline]
-    pub fn lit_word(&self, lit: Lit, word: usize) -> u64 {
-        let w = self.patterns[lit.var() as usize][word];
-        if lit.is_complement() {
-            !w
-        } else {
-            w
-        }
-    }
-
-    /// Returns true if two literals agree on every simulated pattern.
-    ///
-    /// Complement-aware and allocation-free: the comparison walks the two
-    /// nodes' word vectors directly instead of materialising complemented
-    /// copies via [`Self::lit_pattern`].
-    pub fn lits_equal(&self, a: Lit, b: Lit) -> bool {
-        let pa = &self.patterns[a.var() as usize];
-        let pb = &self.patterns[b.var() as usize];
-        let flip = a.is_complement() != b.is_complement();
-        pa.iter()
-            .zip(pb)
-            .all(|(&wa, &wb)| if flip { wa == !wb } else { wa == wb })
-    }
-
-    /// Returns true if literal `a` of these vectors agrees with literal `b`
-    /// of `other` on every pattern (the vectors must have been simulated
-    /// with the same input patterns and word count).
-    ///
-    /// Like [`Self::lits_equal`], complement-aware with no allocation —
-    /// this is what [`probably_equivalent`] compares outputs with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two vector sets have different word counts.
-    pub fn lits_equal_across(&self, a: Lit, other: &SimVectors, b: Lit) -> bool {
-        assert_eq!(
-            self.num_words, other.num_words,
-            "comparing vectors of different widths"
-        );
-        let pa = &self.patterns[a.var() as usize];
-        let pb = &other.patterns[b.var() as usize];
-        let flip = a.is_complement() != b.is_complement();
-        pa.iter()
-            .zip(pb)
-            .all(|(&wa, &wb)| if flip { wa == !wb } else { wa == wb })
-    }
-}
 
 /// Compares two AIGs with the same interface on random patterns.
 ///
 /// Returns `true` if no counterexample is found within `num_words * 64`
 /// random patterns; this is a probabilistic check, not a proof (use
-/// `almost-sat`'s CEC for proofs).
+/// `almost-sat`'s CEC for proofs). The stimulus is
+/// [`random_input_words`] with the given `seed`.
 ///
 /// # Panics
 ///
@@ -195,16 +23,21 @@ impl SimVectors {
 pub fn probably_equivalent(a: &Aig, b: &Aig, num_words: usize, seed: u64) -> bool {
     assert_eq!(a.num_inputs(), b.num_inputs(), "input counts differ");
     assert_eq!(a.num_outputs(), b.num_outputs(), "output counts differ");
+    let input_words = random_input_words(a.num_inputs(), num_words, seed);
+    CompiledAig::compile(a).eval_words(&input_words, num_words)
+        == CompiledAig::compile(b).eval_words(&input_words, num_words)
+}
+
+/// Uniformly random stimulus in the `[input][word]` layout
+/// [`CompiledAig::eval_words`] and [`CompiledAig::register_popcounts`]
+/// consume: `num_words` words per input, drawn input-major, then word,
+/// from a generator seeded with `seed`. Every random-pattern sweep in
+/// the workspace draws through here, so equal seeds mean equal stimulus.
+pub fn random_input_words(num_inputs: usize, num_words: usize, seed: u64) -> Vec<Vec<u64>> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let input_patterns: Vec<Vec<u64>> = (0..a.num_inputs())
+    (0..num_inputs)
         .map(|_| (0..num_words).map(|_| rng.random()).collect())
-        .collect();
-    let sa = SimVectors::with_input_patterns(a, &input_patterns);
-    let sb = SimVectors::with_input_patterns(b, &input_patterns);
-    a.outputs()
-        .iter()
-        .zip(b.outputs())
-        .all(|(&oa, &ob)| sa.lits_equal_across(oa, &sb, ob))
+        .collect()
 }
 
 /// A three-valued logic value: `0`, `1`, or unknown (`X`).
@@ -213,7 +46,7 @@ pub fn probably_equivalent(a: &Aig, b: &Aig, num_words: usize, seed: u64) -> boo
 /// structure: `0 AND X = 0`, `1 AND X = X`. A node that settles to a
 /// definite value with **every input at `X`** is structurally constant —
 /// the cheap constant-detection pre-pass of the fraig engine
-/// ([`crate::fraig`]), which SAT-confirms each candidate before merging.
+/// ([`fraig`](mod@crate::fraig)), which SAT-confirms each candidate before merging.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Ternary {
     /// Definitely 0.
@@ -305,132 +138,35 @@ pub fn ternary_eval(aig: &Aig, inputs: &[Ternary]) -> Vec<Ternary> {
         .collect()
 }
 
-/// Computes the truth table patterns of every node of a *cone* over given
-/// leaf patterns, without touching the rest of the graph.
-///
-/// `leaf_patterns` maps leaf vars to their pattern words; all cone nodes
-/// between the leaves and `root` must be AND nodes.
-///
-/// # Panics
-///
-/// Panics if the cone reaches an input or constant that is not in
-/// `leaf_patterns` (the constant node 0 is implicitly all-zero).
-pub fn simulate_cone(
-    aig: &Aig,
-    root: Var,
-    leaf_patterns: &std::collections::HashMap<Var, Vec<u64>>,
-    num_words: usize,
-) -> Vec<u64> {
-    use std::collections::HashMap;
-    let mut memo: HashMap<Var, Vec<u64>> = leaf_patterns.clone();
-    memo.insert(0, vec![0u64; num_words]);
-    fn go(
-        aig: &Aig,
-        v: Var,
-        memo: &mut std::collections::HashMap<Var, Vec<u64>>,
-        num_words: usize,
-    ) -> Vec<u64> {
-        if let Some(p) = memo.get(&v) {
-            return p.clone();
-        }
-        match aig.node(v) {
-            NodeKind::And(a, b) => {
-                let pa = go(aig, a.var(), memo, num_words);
-                let pb = go(aig, b.var(), memo, num_words);
-                let out: Vec<u64> = (0..num_words)
-                    .map(|w| {
-                        let wa = if a.is_complement() { !pa[w] } else { pa[w] };
-                        let wb = if b.is_complement() { !pb[w] } else { pb[w] };
-                        wa & wb
-                    })
-                    .collect();
-                memo.insert(v, out.clone());
-                out
-            }
-            _ => panic!("cone reached unmapped non-AND node {v}"),
-        }
-    }
-    go(aig, root, &mut memo, num_words)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn xor_aig() -> (Aig, Lit, Lit, Lit) {
+    fn xor_aig() -> Aig {
         let mut aig = Aig::new();
         let a = aig.add_input();
         let b = aig.add_input();
         let f = aig.xor(a, b);
         aig.add_output(f);
-        (aig, a, b, f)
-    }
-
-    #[test]
-    fn simulation_matches_eval() {
-        let (aig, _, _, _) = xor_aig();
-        let sim = SimVectors::random(&aig, 2, 1);
-        for pat in 0..sim.num_patterns() {
-            let (w, bit) = (pat / 64, pat % 64);
-            let ins: Vec<bool> = (0..aig.num_inputs())
-                .map(|i| (sim.node_pattern(aig.inputs()[i])[w] >> bit) & 1 != 0)
-                .collect();
-            let expect = aig.eval(&ins);
-            let got = (sim.lit_pattern(aig.outputs()[0])[w] >> bit) & 1 != 0;
-            assert_eq!(got, expect[0]);
-        }
+        aig
     }
 
     #[test]
     fn probably_equivalent_accepts_identical() {
-        let (a, _, _, _) = xor_aig();
+        let a = xor_aig();
         let b = a.clone();
         assert!(probably_equivalent(&a, &b, 4, 3));
     }
 
     #[test]
     fn probably_equivalent_rejects_different() {
-        let (a, _, _, _) = xor_aig();
+        let a = xor_aig();
         let mut b = Aig::new();
         let x = b.add_input();
         let y = b.add_input();
         let f = b.and(x, y);
         b.add_output(f);
         assert!(!probably_equivalent(&a, &b, 4, 3));
-    }
-
-    #[test]
-    fn signal_probability_of_constant() {
-        let mut aig = Aig::new();
-        let a = aig.add_input();
-        aig.add_output(a);
-        let sim = SimVectors::random(&aig, 8, 9);
-        assert_eq!(sim.signal_probability(0), 0.0);
-        let p = sim.signal_probability(a.var());
-        assert!((p - 0.5).abs() < 0.1, "input probability ~0.5, got {p}");
-    }
-
-    #[test]
-    fn lits_equal_detects_complement() {
-        let (aig, a, _, _) = xor_aig();
-        let sim = SimVectors::random(&aig, 4, 7);
-        assert!(sim.lits_equal(a, a));
-        assert!(!sim.lits_equal(a, !a));
-    }
-
-    #[test]
-    fn lit_word_and_cross_compare_agree_with_lit_pattern() {
-        let (aig, a, b, f) = xor_aig();
-        let sim = SimVectors::random(&aig, 4, 11);
-        for lit in [a, b, f, !f] {
-            let owned = sim.lit_pattern(lit);
-            for (w, &word) in owned.iter().enumerate() {
-                assert_eq!(sim.lit_word(lit, w), word);
-            }
-        }
-        let other = sim.clone();
-        assert!(sim.lits_equal_across(f, &other, f));
-        assert!(!sim.lits_equal_across(f, &other, !f));
     }
 
     #[test]
@@ -465,7 +201,7 @@ mod tests {
 
     #[test]
     fn ternary_matches_boolean_eval_on_definite_inputs() {
-        let (aig, _, _, _) = xor_aig();
+        let aig = xor_aig();
         for pat in 0..4u32 {
             let bools: Vec<bool> = (0..2).map(|i| pat >> i & 1 != 0).collect();
             let terns: Vec<Ternary> = bools
@@ -498,19 +234,5 @@ mod tests {
             ternary_eval(&aig, &[Ternary::One, Ternary::X]),
             vec![Ternary::X]
         );
-    }
-
-    #[test]
-    fn cone_simulation() {
-        let mut aig = Aig::new();
-        let a = aig.add_input();
-        let b = aig.add_input();
-        let f = aig.and(a, b);
-        aig.add_output(f);
-        let mut leaves = std::collections::HashMap::new();
-        leaves.insert(a.var(), vec![0b1100u64]);
-        leaves.insert(b.var(), vec![0b1010u64]);
-        let out = simulate_cone(&aig, f.var(), &leaves, 1);
-        assert_eq!(out[0], 0b1000);
     }
 }

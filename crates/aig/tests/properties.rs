@@ -4,7 +4,7 @@ use almost_aig::cut::{cut_function, CutConfig, CutSet};
 use almost_aig::isop::{build_from_tt, isop, Cube};
 use almost_aig::npn::canonize;
 use almost_aig::passes::{balance, reconvergence_cut};
-use almost_aig::sim::{probably_equivalent, SimVectors};
+use almost_aig::sim::probably_equivalent;
 use almost_aig::{Aig, Lit, Pass, Tt};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -103,25 +103,31 @@ proptest! {
     fn cut_functions_agree_with_cone_simulation(seed in 0u64..100_000) {
         let aig = random_aig(5, 30, seed);
         let cuts = CutSet::compute(&aig, CutConfig::default());
-        let sim = SimVectors::random(&aig, 2, seed);
+        let mut checks = Vec::new();
         for v in aig.iter_ands().take(10) {
             for cut in cuts.cuts_of(v).iter().filter(|c| c.size() >= 2).take(3) {
-                let tt = cut_function(&aig, v, cut);
-                // Check the truth table against simulation: for each
-                // pattern, node value must equal tt(leaf values).
-                let node_pat = sim.node_pattern(v);
-                for (w, &word) in node_pat.iter().enumerate().take(2) {
-                    for b in 0..64usize {
-                        let mut idx = 0usize;
-                        for (i, &leaf) in cut.leaves().iter().enumerate() {
-                            if (sim.node_pattern(leaf)[w] >> b) & 1 != 0 {
-                                idx |= 1 << i;
-                            }
-                        }
-                        let expect = (word >> b) & 1 != 0;
-                        prop_assert_eq!(tt.get_bit(idx), expect);
-                    }
-                }
+                checks.push((v, cut.leaves().to_vec(), cut_function(&aig, v, cut)));
+            }
+        }
+        // Reference: the node walk on a clone exposing every node as an
+        // output, so internal node values become observable. On every
+        // pattern, a node's value must equal tt(leaf values).
+        let mut every_node = aig.clone();
+        for v in aig.iter_vars() {
+            every_node.add_output(Lit::positive(v));
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..128 {
+            let ins: Vec<bool> = (0..aig.num_inputs()).map(|_| rng.random()).collect();
+            let all = every_node.eval(&ins);
+            let value = &all[aig.num_outputs()..];
+            for (v, leaves, tt) in &checks {
+                let idx = leaves
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &leaf)| value[leaf as usize])
+                    .fold(0usize, |idx, (i, _)| idx | 1 << i);
+                prop_assert_eq!(tt.get_bit(idx), value[*v as usize]);
             }
         }
     }

@@ -164,8 +164,7 @@ impl DoubleDip {
 /// a single word-level sweep of the compiled locked netlist: each probe
 /// occupies one word column with its data bits broadcast, key inputs
 /// carry a random bit per lane, and a probe is key sensitive when some
-/// output word is neither all-zeros nor all-ones. Falls back to zero if
-/// the netlist cannot be compiled (the diagnostic is best-effort).
+/// output word is neither all-zeros nor all-ones.
 fn count_key_sensitive_probes(
     locked: &almost_aig::Aig,
     key_start: usize,
@@ -176,9 +175,6 @@ fn count_key_sensitive_probes(
     if probes.is_empty() {
         return 0;
     }
-    let Ok(code) = CompiledAig::compile(locked) else {
-        return 0;
-    };
     // A distinct stream from the probe RNG: the probes themselves must
     // not move when this diagnostic changes its sampling.
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_D1D1_2D2D);
@@ -198,7 +194,7 @@ fn count_key_sensitive_probes(
             data_pos += 1;
         }
     }
-    let out = code.eval_words(&words, num_words);
+    let out = CompiledAig::compile(locked).eval_words(&words, num_words);
     (0..num_words)
         .filter(|&w| out.iter().any(|o| o[w] != 0 && o[w] != u64::MAX))
         .count()
@@ -242,8 +238,7 @@ impl DoubleDipRun {
     }
 
     /// True when the per-iteration log reconciles with the reported
-    /// oracle query count (see
-    /// [`dip_log_consistent`](crate::report::dip_log_consistent)).
+    /// oracle query count (see [`dip_log_consistent`]).
     pub fn accounting_consistent(&self) -> bool {
         dip_log_consistent(&self.iterations, self.oracle_queries)
     }

@@ -101,7 +101,8 @@ pub struct DipIteration {
     /// Cumulative solver conflicts after this iteration.
     pub conflicts: u64,
     /// Cumulative oracle queries *issued by the attack* after this
-    /// iteration. Counted independently of [`Oracle::queries_served`] so
+    /// iteration. Counted independently of
+    /// [`Oracle::queries_served`](almost_locking::Oracle::queries_served) so
     /// the two ledgers reconcile — [`dip_log_consistent`] is the audit.
     pub oracle_queries: usize,
     /// Oracle disagreements found while validating a settled candidate key

@@ -11,10 +11,9 @@
 //! 50%).
 
 use crate::report::{AttackOutcome, AttackTarget, OracleLessAttack};
-use almost_aig::{Aig, CompiledAig, Pass, Script};
+use almost_aig::sim::probably_equivalent;
+use almost_aig::{Aig, Pass, Script};
 use almost_locking::apply_key;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
 /// SCOPE configuration.
 #[derive(Clone, Debug)]
@@ -95,7 +94,7 @@ impl Scope {
         // surely) the same function, the bit cannot be decided — skip both
         // synthesis runs. A functionally dead bit previously produced
         // identical reports and tied to None; this short-circuits that.
-        if compiled_probably_equal(&spec0, &spec1, DEAD_BIT_WORDS, DEAD_BIT_SEED) {
+        if probably_equivalent(&spec0, &spec1, DEAD_BIT_WORDS, DEAD_BIT_SEED) {
             return None;
         }
         let mut complexities = [0.0f64; 2];
@@ -128,23 +127,6 @@ fn specialise_single(aig: &Aig, input_pos: usize, value: bool) -> Aig {
 const DEAD_BIT_WORDS: usize = 16;
 /// Stimulus seed for the dead-bit prefilter.
 const DEAD_BIT_SEED: u64 = 0x5C09E;
-
-/// One compiled word-level sweep over shared random stimulus to check
-/// whether two same-interface netlists (probably) compute the same
-/// function. Falls back to the interpreted equivalence check when either
-/// netlist refuses to compile.
-fn compiled_probably_equal(a: &Aig, b: &Aig, num_words: usize, seed: u64) -> bool {
-    debug_assert_eq!(a.num_inputs(), b.num_inputs());
-    debug_assert_eq!(a.num_outputs(), b.num_outputs());
-    let (Ok(code_a), Ok(code_b)) = (CompiledAig::compile(a), CompiledAig::compile(b)) else {
-        return almost_aig::sim::probably_equivalent(a, b, num_words, seed);
-    };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let words: Vec<Vec<u64>> = (0..a.num_inputs())
-        .map(|_| (0..num_words).map(|_| rng.random()).collect())
-        .collect();
-    code_a.eval_words(&words, num_words) == code_b.eval_words(&words, num_words)
-}
 
 impl OracleLessAttack for Scope {
     fn name(&self) -> &'static str {
@@ -202,7 +184,7 @@ mod tests {
         aig.add_output(f);
         let scope = Scope::default();
         assert_eq!(scope.decide_bit(&aig, 2, 0), None);
-        assert!(compiled_probably_equal(
+        assert!(probably_equivalent(
             &specialise_single(&aig, 2, false),
             &specialise_single(&aig, 2, true),
             4,
@@ -218,7 +200,7 @@ mod tests {
         let k = aig.add_input();
         let f = aig.xor(a, k);
         aig.add_output(f);
-        assert!(!compiled_probably_equal(
+        assert!(!probably_equivalent(
             &specialise_single(&aig, 1, false),
             &specialise_single(&aig, 1, true),
             4,

@@ -14,11 +14,10 @@
 //! (`extract_all_localities_with_signatures`) so the default feature
 //! layout, and every model trained on it, is unchanged.
 
+use almost_aig::sim::random_input_words;
 use almost_aig::{Aig, CompiledAig, NodeKind, Var};
 use almost_ml::gin::Graph;
 use almost_ml::tensor::Matrix;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 
 /// Locality-extraction parameters.
@@ -59,21 +58,17 @@ impl SignalSignatures {
     /// compiled batch evaluator. Nodes outside the output cone (which
     /// the compiler skips) get the maximum-uncertainty value 0.5.
     pub fn compute(aig: &Aig, num_words: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let input_words: Vec<Vec<u64>> = (0..aig.num_inputs())
-            .map(|_| (0..num_words).map(|_| rng.random()).collect())
+        let input_words = random_input_words(aig.num_inputs(), num_words, seed);
+        let code = CompiledAig::compile(aig);
+        let ones = code.register_popcounts(&input_words, num_words);
+        let patterns = (num_words * 64) as u64;
+        let probs = aig
+            .iter_vars()
+            .map(|v| match code.register_of(v) {
+                Some(r) => almost_ml::data::signal_probability(ones[r as usize], patterns),
+                None => 0.5,
+            })
             .collect();
-        let mut probs = vec![0.5f32; aig.num_nodes()];
-        if let Ok(code) = CompiledAig::compile(aig) {
-            let ones = code.register_popcounts(&input_words, num_words);
-            let patterns = (num_words * 64) as u64;
-            for v in aig.iter_vars() {
-                if let Some(r) = code.register_of(v) {
-                    probs[v as usize] =
-                        almost_ml::data::signal_probability(ones[r as usize], patterns);
-                }
-            }
-        }
         SignalSignatures { probs }
     }
 
@@ -352,20 +347,31 @@ mod tests {
         let seed = 99;
         let sigs = SignalSignatures::compute(&locked.aig, num_words, seed);
         // Rebuild the exact input words SignalSignatures drew, then
-        // compare against the interpreted simulator on the same stimulus.
-        let mut word_rng = StdRng::seed_from_u64(seed);
-        let input_words: Vec<Vec<u64>> = (0..locked.aig.num_inputs())
-            .map(|_| (0..num_words).map(|_| word_rng.random()).collect())
-            .collect();
-        let vectors = almost_aig::sim::SimVectors::with_input_patterns(&locked.aig, &input_words);
-        let code = CompiledAig::compile(&locked.aig).expect("compilable");
-        for v in locked.aig.iter_vars() {
+        // compare against the node walk on the same stimulus.
+        let input_words = random_input_words(locked.aig.num_inputs(), num_words, seed);
+        // The node walk on a clone exposing every node as an output, so
+        // internal node values become observable.
+        let aig = &locked.aig;
+        let mut every_node = aig.clone();
+        for v in aig.iter_vars() {
+            every_node.add_output(almost_aig::Lit::positive(v));
+        }
+        let num_patterns = num_words * 64;
+        let mut ones = vec![0u64; aig.num_nodes()];
+        for pattern in almost_aig::compile::unpack_output_words(num_patterns, &input_words) {
+            let values = every_node.eval(&pattern);
+            for (count, &on) in ones.iter_mut().zip(&values[aig.num_outputs()..]) {
+                *count += u64::from(on);
+            }
+        }
+        let code = CompiledAig::compile(aig);
+        for v in aig.iter_vars() {
             let got = sigs.probability(v);
             if code.register_of(v).is_some() {
-                let want = vectors.signal_probability(v) as f32;
+                let want = ones[v as usize] as f32 / num_patterns as f32;
                 assert!(
                     (got - want).abs() < 1e-6,
-                    "var {v}: compiled prob {got} vs simulated {want}"
+                    "var {v}: compiled prob {got} vs node walk {want}"
                 );
             } else {
                 assert_eq!(got, 0.5, "uncompiled var {v} must stay neutral");

@@ -90,8 +90,8 @@ fn run() {
     };
 
     println!(
-        "{:<8} {:>6} {:>8} {:>12} {:>12} {:>12} {:>8}",
-        "bench", "ands", "pair", "legacy", "fraig", "verdict", "speedup"
+        "{:<8} {:>6} {:>8} {:>12} {:>12} {:>14} {:>14} {:>8}",
+        "bench", "ands", "pair", "legacy", "fraig", "legacy_verdict", "fraig_verdict", "speedup"
     );
     let results = pool::map_indexed(benches, |_, bench| {
         let original = bench.build();
@@ -110,15 +110,18 @@ fn run() {
             "{bench}: redundified pair must certify equivalent"
         );
 
+        let fraig_verdict = verdict_label(&Some(verdict));
+
         let speedup = legacy_secs / fraig_secs.max(1e-12);
         let line = format!(
-            "{:<8} {:>6} {:>8} {:>10.3}s {:>10.3}s {:>12} {:>7.1}x",
+            "{:<8} {:>6} {:>8} {:>10.3}s {:>10.3}s {:>14} {:>14} {:>7.1}x",
             bench.name(),
             original.num_ands(),
             restructured.num_ands(),
             legacy_secs,
             fraig_secs,
             verdict_label(&legacy),
+            fraig_verdict,
             speedup
         );
         let row = vec![
@@ -129,7 +132,7 @@ fn run() {
             format!("{legacy_secs:.6}"),
             verdict_label(&legacy).into(),
             format!("{fraig_secs:.6}"),
-            "equivalent".into(),
+            fraig_verdict.into(),
             format!("{speedup:.2}"),
         ];
         (line, row)

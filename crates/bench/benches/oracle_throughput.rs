@@ -12,7 +12,7 @@
 use almost_bench::{banner, pool, write_csv};
 use almost_circuits::IscasBenchmark;
 use almost_core::Scale;
-use almost_locking::{BatchOracle, CompiledOracle, InterpretedOracle};
+use almost_locking::{BatchOracle, CircuitOracle, InterpretedOracle};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Instant;
@@ -67,7 +67,7 @@ fn run() {
         let walk_secs = started.elapsed().as_secs_f64();
 
         let started = Instant::now();
-        let compiled = CompiledOracle::new(design.clone()).expect("compilable");
+        let compiled = CircuitOracle::new(design.clone());
         let compile_secs = started.elapsed().as_secs_f64();
         let started = Instant::now();
         let compiled_answers = compiled.query_batch(&patterns);

@@ -911,7 +911,25 @@ impl Solver {
         }
     }
 
+    /// Runs one query, then flushes the effort accrued since the last
+    /// heartbeat: heartbeats fire every [`PROGRESS_INTERVAL`] conflicts,
+    /// so without the flush the tail of every call would be missing from
+    /// the summed `SolverProgress` deltas.
     fn search(
+        &mut self,
+        assumptions: &[SatLit],
+        max_conflicts: u64,
+        stop: Option<&AtomicBool>,
+        exchange: Option<&mut dyn ClauseExchange>,
+    ) -> Result<SatResult, Interrupt> {
+        let result = self.search_inner(assumptions, max_conflicts, stop, exchange);
+        if telemetry::tracing() && self.stats() != self.last_progress {
+            self.emit_progress();
+        }
+        result
+    }
+
+    fn search_inner(
         &mut self,
         assumptions: &[SatLit],
         max_conflicts: u64,

@@ -21,8 +21,8 @@
 //!   check used to validate locking correctness).
 //! - [`Oracle`] / [`BatchOracle`] / [`CircuitOracle`]: the activated-IC
 //!   black box of the oracle-guided threat model (SAT attacks query it for
-//!   correct outputs), served by a compiled instruction-buffer backend
-//!   ([`CompiledOracle`]) differential-tested against the node-walk
+//!   correct outputs). [`CircuitOracle`] serves them from a compiled
+//!   instruction buffer, differential-tested against the node-walk
 //!   reference ([`InterpretedOracle`]).
 //!
 //! # Example
@@ -54,7 +54,7 @@ pub mod stacked;
 pub use anti_sat::AntiSat;
 pub use key::Key;
 pub use mux_lock::MuxLock;
-pub use oracle::{BatchOracle, CircuitOracle, CompiledOracle, InterpretedOracle, Oracle};
+pub use oracle::{BatchOracle, CircuitOracle, InterpretedOracle, Oracle};
 pub use rll::Rll;
 pub use sar_lock::SarLock;
 pub use scheme::{relock, LockError, LockedCircuit, LockingScheme};

@@ -7,9 +7,9 @@ use almost_aig::Aig;
 use std::cell::Cell;
 
 /// An [`Oracle`] that interprets the [`Aig`] per pattern via
-/// [`Aig::eval`] — the differential reference the compiled backend is
-/// pinned against (`tests/oracle_parity.rs`), and the fallback
-/// [`super::CircuitOracle`] uses for netlists too large to compile.
+/// [`Aig::eval`] — the differential reference the compiled
+/// [`super::CircuitOracle`] is pinned against (`tests/oracle_parity.rs`)
+/// and the baseline of its throughput envelope.
 ///
 /// Its [`BatchOracle`] methods are the trait defaults: a batch is served
 /// one scalar query at a time, defining the counter and ordering

@@ -10,31 +10,27 @@
 //!
 //! ## Backends
 //!
-//! Two implementations answer queries:
-//!
+//! - [`CircuitOracle`] is the production backend: it lowers the design
+//!   once through [`almost_aig::compile::CompiledAig`] into a flat
+//!   instruction buffer and serves 64 patterns per `u64` word.
+//!   Compilation cannot fail, so there is no fallback path.
 //! - [`InterpretedOracle`] walks the [`Aig`] node vector per pattern via
-//!   [`Aig::eval`] — slow, obviously correct, the differential reference.
-//! - [`CompiledOracle`] lowers the design once through
-//!   [`almost_aig::compile::CompiledAig`] into a flat instruction buffer
-//!   and serves 64 patterns per `u64` word.
+//!   [`Aig::eval`] — slow, obviously correct, the differential reference
+//!   `tests/oracle_parity.rs` pins the compiled backend against.
 //!
-//! [`CircuitOracle`] is the production face: it compiles on construction
-//! and falls back to the interpreter if compilation fails (oversized
-//! netlists), so callers never see a compile error. [`BatchOracle`]
-//! extends [`Oracle`] with the batch and word-level entry points; both
-//! backends implement it with identical query-counter semantics, so
-//! reported query budgets stay comparable across backends.
+//! [`BatchOracle`] extends [`Oracle`] with the batch and word-level
+//! entry points; both backends implement it with identical
+//! query-counter semantics, so reported query budgets stay comparable
+//! across backends.
 
-mod compiled;
 mod interpreted;
 
-pub use compiled::CompiledOracle;
 pub use interpreted::InterpretedOracle;
 
 use crate::scheme::LockedCircuit;
 use crate::specialize::apply_key;
 use almost_aig::compile::{pack_patterns, unpack_output_words, CompiledAig};
-use almost_aig::{Aig, CompileError, CompileStats};
+use almost_aig::{Aig, CompileStats};
 use std::cell::{Cell, RefCell};
 
 /// A black-box activated chip: functional inputs in, correct outputs out.
@@ -92,32 +88,10 @@ pub trait BatchOracle: Oracle {
     }
 }
 
-/// Compiles `design` for an oracle backend, reporting the compile to the
-/// telemetry layer (when tracing) so harness traces show the one-shot
-/// setup cost next to the queries it amortises over.
-fn compile_for_oracle(design: &Aig) -> Result<CompiledAig, CompileError> {
-    let t0 = std::time::Instant::now();
-    let result = CompiledAig::compile(design);
-    if let Ok(code) = &result {
-        let stats = code.stats();
-        let wall_us = t0.elapsed().as_micros() as u64;
-        almost_telemetry::trace(|| almost_telemetry::EventKind::OracleCompile {
-            ands: design.num_ands() as u64,
-            instructions: stats.instructions as u64,
-            registers: stats.registers as u64,
-            dead_skipped: stats.dead_skipped as u64,
-            wall_us,
-        });
-    }
-    result
-}
-
-/// An [`Oracle`] backed by a combinational circuit.
-///
-/// Compiles the design to the batch backend on construction; if the
-/// netlist cannot be compiled (it would overflow the packed operand
-/// encoding) the oracle silently serves queries through the interpreter
-/// instead — same answers, same counters, lower throughput.
+/// An [`Oracle`] backed by a combinational circuit, serving queries from
+/// a [`CompiledAig`] instruction buffer: the netlist is lowered once at
+/// construction, then batches run 64 patterns per `u64` word with no
+/// per-query allocation or node-graph traversal.
 ///
 /// # Example
 ///
@@ -137,31 +111,31 @@ fn compile_for_oracle(design: &Aig) -> Result<CompiledAig, CompileError> {
 /// ```
 pub struct CircuitOracle {
     design: Aig,
-    backend: Backend,
+    code: CompiledAig,
+    scratch: RefCell<Vec<u64>>,
     queries: Cell<usize>,
 }
 
-enum Backend {
-    Compiled {
-        code: CompiledAig,
-        scratch: RefCell<Vec<u64>>,
-    },
-    Interpreted,
-}
-
 impl CircuitOracle {
-    /// Wraps an already-unlocked design.
+    /// Compiles an already-unlocked design, reporting the compile to the
+    /// telemetry layer (when tracing) so harness traces show the one-shot
+    /// setup cost next to the queries it amortises over.
     pub fn new(design: Aig) -> Self {
-        let backend = match compile_for_oracle(&design) {
-            Ok(code) => {
-                let scratch = RefCell::new(code.make_scratch());
-                Backend::Compiled { code, scratch }
-            }
-            Err(_) => Backend::Interpreted,
-        };
+        let t0 = std::time::Instant::now();
+        let code = CompiledAig::compile(&design);
+        let stats = code.stats();
+        let wall_us = t0.elapsed().as_micros() as u64;
+        almost_telemetry::trace(|| almost_telemetry::EventKind::OracleCompile {
+            ands: design.num_ands() as u64,
+            instructions: stats.instructions as u64,
+            registers: stats.registers as u64,
+            dead_skipped: stats.dead_skipped as u64,
+            wall_us,
+        });
         CircuitOracle {
+            scratch: RefCell::new(code.make_scratch()),
             design,
-            backend,
+            code,
             queries: Cell::new(0),
         }
     }
@@ -182,18 +156,9 @@ impl CircuitOracle {
         &self.design
     }
 
-    /// Whether queries are served by the compiled backend (false only
-    /// for netlists too large to compile).
-    pub fn is_compiled(&self) -> bool {
-        matches!(self.backend, Backend::Compiled { .. })
-    }
-
-    /// Compile statistics, when the compiled backend is active.
-    pub fn compile_stats(&self) -> Option<CompileStats> {
-        match &self.backend {
-            Backend::Compiled { code, .. } => Some(code.stats()),
-            Backend::Interpreted => None,
-        }
+    /// What the compiler did (instruction count, dead nodes skipped…).
+    pub fn compile_stats(&self) -> CompileStats {
+        self.code.stats()
     }
 
     fn count(&self, n: usize) {
@@ -212,12 +177,7 @@ impl Oracle for CircuitOracle {
 
     fn query(&self, pattern: &[bool]) -> Vec<bool> {
         self.count(1);
-        match &self.backend {
-            Backend::Compiled { code, scratch } => {
-                code.eval_into(pattern, &mut scratch.borrow_mut())
-            }
-            Backend::Interpreted => self.design.eval(pattern),
-        }
+        self.code.eval_into(pattern, &mut self.scratch.borrow_mut())
     }
 
     fn queries_served(&self) -> usize {
@@ -227,31 +187,13 @@ impl Oracle for CircuitOracle {
 
 impl BatchOracle for CircuitOracle {
     fn query_batch(&self, patterns: &[Vec<bool>]) -> Vec<Vec<bool>> {
-        match &self.backend {
-            Backend::Compiled { code, .. } => {
-                self.count(patterns.len());
-                code.eval_batch(patterns)
-            }
-            Backend::Interpreted => {
-                // The counter advances inside the per-pattern queries.
-                patterns.iter().map(|p| self.query(p)).collect()
-            }
-        }
+        self.count(patterns.len());
+        self.code.eval_batch(patterns)
     }
 
     fn query_words(&self, input_words: &[Vec<u64>], num_words: usize) -> Vec<Vec<u64>> {
-        match &self.backend {
-            Backend::Compiled { code, .. } => {
-                self.count(num_words * 64);
-                code.eval_words(input_words, num_words)
-            }
-            Backend::Interpreted => {
-                assert_eq!(input_words.len(), self.num_inputs(), "input word shape");
-                let patterns = unpack_output_words(num_words * 64, input_words);
-                let outputs = self.query_batch(&patterns);
-                pack_patterns(self.num_outputs(), &outputs)
-            }
-        }
+        self.count(num_words * 64);
+        self.code.eval_words(input_words, num_words)
     }
 }
 
@@ -270,7 +212,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let locked = Rll::new(16).lock(&design, &mut rng).expect("lockable");
         let oracle = CircuitOracle::from_locked(&locked);
-        assert!(oracle.is_compiled());
         assert_eq!(oracle.num_inputs(), design.num_inputs());
         assert_eq!(oracle.num_outputs(), design.num_outputs());
         for i in 0..8u64 {
@@ -295,24 +236,21 @@ mod tests {
     }
 
     #[test]
-    fn all_three_backends_agree_with_identical_counters() {
+    fn both_backends_agree_with_identical_counters() {
         let design = IscasBenchmark::C432.build();
         let mut rng = StdRng::seed_from_u64(5);
         let locked = Rll::new(12).lock(&design, &mut rng).expect("lockable");
         let circuit = CircuitOracle::from_locked(&locked);
         let interpreted = InterpretedOracle::from_locked(&locked);
-        let compiled = CompiledOracle::from_locked(&locked).expect("compiles");
         let n = design.num_inputs();
         let patterns: Vec<Vec<bool>> = (0..70)
             .map(|_| (0..n).map(|_| rng.random()).collect())
             .collect();
         let want = interpreted.query_batch(&patterns);
         assert_eq!(circuit.query_batch(&patterns), want);
-        assert_eq!(compiled.query_batch(&patterns), want);
         for o in [
             &circuit as &dyn BatchOracle,
             &interpreted as &dyn BatchOracle,
-            &compiled as &dyn BatchOracle,
         ] {
             assert_eq!(o.queries_served(), 70, "batch counts per pattern");
             assert!(o.query_batch(&[]).is_empty());

@@ -11,8 +11,8 @@
 
 use crate::cell::CellLibrary;
 use crate::netlist::MappedNetlist;
-use almost_aig::sim::SimVectors;
-use almost_aig::Aig;
+use almost_aig::sim::random_input_words;
+use almost_aig::{Aig, CompiledAig, Var};
 
 /// A PPA report for one mapped netlist.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -77,9 +77,22 @@ pub fn analyze(
         delay = delay.max(t);
     }
 
-    // Switching activity from AIG simulation; nets without an AIG origin
-    // (tie cells) never toggle.
-    let sim = SimVectors::random(aig, sim_words.max(1), seed);
+    // Switching activity `2p(1-p)` from one compiled sweep over random
+    // patterns; nets without an AIG origin (tie cells) never toggle.
+    // Every mapped net's node has a register: the cover is walked back
+    // from the outputs, so it stays inside the output-reachable cone the
+    // compiler keeps.
+    let num_words = sim_words.max(1);
+    let input_words = random_input_words(aig.num_inputs(), num_words, seed);
+    let code = CompiledAig::compile(aig);
+    let ones = code.register_popcounts(&input_words, num_words);
+    let switching_activity = |var: Var| {
+        let r = code
+            .register_of(var)
+            .expect("mapped nets lie in the output-reachable cone");
+        let p = ones[r as usize] as f64 / (num_words * 64) as f64;
+        2.0 * p * (1.0 - p)
+    };
     let mut dynamic = 0.0f64;
     let mut leakage = 0.0f64;
     for gate in netlist.gates() {
@@ -87,7 +100,7 @@ pub fn analyze(
         leakage += cell.leakage();
         let activity = netlist
             .net_origin(gate.output)
-            .map(|(var, _)| sim.switching_activity(var))
+            .map(|(var, _)| switching_activity(var))
             .unwrap_or(0.0);
         // Load on the output net: the input capacitance of all fanout pins
         // (approximated with the average input cap of driven cells).
@@ -97,7 +110,7 @@ pub fn analyze(
     // Primary-input nets also switch and drive loads.
     for &net in netlist.input_nets() {
         if let Some((var, _)) = netlist.net_origin(net) {
-            dynamic += sim.switching_activity(var) * fanouts[net] as f64;
+            dynamic += switching_activity(var) * fanouts[net] as f64;
         }
     }
 

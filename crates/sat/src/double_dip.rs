@@ -106,7 +106,7 @@ impl DoubleDipMiter {
     }
 
     /// Like [`DoubleDipMiter::new`], but sweeps the locked circuit with
-    /// [`almost_aig::fraig`] before encoding. The four-copy miter
+    /// [`fraig`](mod@almost_aig::fraig) before encoding. The four-copy miter
     /// amplifies any netlist reduction fourfold (every copy — and every
     /// probe residue — encodes the swept network), which is why the 2-DIP
     /// loop benefits even more from the pre-pass than the classic miter.

@@ -26,7 +26,7 @@ pub enum Equivalence {
 /// The two circuits are copied into one joint netlist over shared
 /// inputs, where the structural hash already identifies every
 /// syntactically shared cone, and the joint network is then swept by
-/// [`almost_aig::fraig`]: simulation signatures partition the nodes into
+/// [`fraig`](mod@almost_aig::fraig): simulation signatures partition the nodes into
 /// candidate classes, and one incremental SAT solver proves (or refutes,
 /// feeding the counterexample back into the signatures) the candidates
 /// pair by pair, from the inputs outward. Output pairs whose cones merge

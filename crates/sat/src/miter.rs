@@ -98,7 +98,7 @@ impl KeyMiter {
     }
 
     /// Like [`KeyMiter::new`], but sweeps the locked circuit with
-    /// [`almost_aig::fraig`] before encoding. The sweep merges every
+    /// [`fraig`](mod@almost_aig::fraig) before encoding. The sweep merges every
     /// internally equivalent node once, up front — both circuit copies
     /// (and every later input-restricted I/O copy) then encode the
     /// reduced network, shrinking the CNF the DIP loop iterates on. The

@@ -9,7 +9,7 @@
 //!   signature sweeps use): at least 10x the interpreted walk in
 //!   patterns/second. The measured gap is far larger, so this only fails
 //!   when the fast path stops being fast — a register-indirection
-//!   regression or an accidental per-pattern fallback.
+//!   regression or an accidental per-pattern loop.
 //! - **Bool-batch convenience path** (`query_batch`, what AppSAT
 //!   settlement uses): at least 3x. This path pays per-pattern `Vec`
 //!   materialisation on both sides, so its ceiling is allocator-bound;
@@ -22,7 +22,7 @@
 
 use almost_repro::aig::compile::pack_patterns;
 use almost_repro::circuits::IscasBenchmark;
-use almost_repro::locking::{BatchOracle, CompiledOracle, InterpretedOracle};
+use almost_repro::locking::{BatchOracle, CircuitOracle, InterpretedOracle};
 use almost_repro::testutil::release_mode;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -55,7 +55,7 @@ fn compiled_oracle_is_at_least_ten_times_faster_on_c1355() {
     let num_words = num_patterns / 64;
 
     let walk = InterpretedOracle::new(design.clone());
-    let compiled = CompiledOracle::new(design).expect("c1355 compiles");
+    let compiled = CircuitOracle::new(design);
 
     // Warm up both paths so first-touch allocation is off the clock.
     let warmup = &patterns[..64];
