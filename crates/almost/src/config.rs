@@ -80,8 +80,8 @@ impl Scale {
     /// acceptance = 1.8).
     ///
     /// `ALMOST_PROPOSALS` (default 1) sets how many mutations the search
-    /// engine proposes and batch-scores per temperature step; at 1 the
-    /// trajectory is bit-identical to the serial annealer. Only the
+    /// engine proposes and batch-scores per temperature step; at 1 each
+    /// step scores one candidate and makes one acceptance draw. Only the
     /// *outer* recipe searches read it — the adversarial inner SA of
     /// Algorithm 1 keeps `proposals = 1` so proxy training is unaffected.
     pub fn sa_config(self, seed: u64) -> SaConfig {

@@ -13,11 +13,12 @@
 //! 2. [`SearchObjective`]: one trait for "score a deployed network",
 //!    batch-first so implementations can fuse the expensive part — the
 //!    proxy-accuracy objective folds *all* candidates' key-gate
-//!    localities into a single block-diagonal GIN `forward_batch` call,
-//!    and the mapped-PPA objectives fan technology mapping out on the
+//!    localities into one batched GIN prediction (block-diagonal
+//!    `forward_batch` calls over fixed-size chunks of localities), and
+//!    the mapped-PPA objectives fan technology mapping out on the
 //!    worker pool.
-//! 3. [`SearchEngine`]: trie + objective + counters, with a batched
-//!    simulated-annealing driver ([`SearchEngine::anneal`]) that
+//! 3. [`SearchEngine`]: trie + objective + counters, with the crate's
+//!    one simulated-annealing driver ([`SearchEngine::anneal`]) that
 //!    proposes [`SaConfig::proposals`] mutations per temperature step.
 //!
 //! # Determinism contract
@@ -25,15 +26,15 @@
 //! All randomness lives on the calling thread, in a fixed draw order:
 //! the `K` mutations of a step are drawn first, then the batch is
 //! synthesised (pool workers touch no RNG) and scored (batched GIN rows
-//! are bit-identical to single-graph forwards; mapping is pure), then
-//! Metropolis acceptance walks the ordered batch sequentially — the
-//! first accepted candidate advances the current state, later candidates
-//! only update the best-seen. Consequences, pinned in
-//! `tests/engine_determinism.rs`:
+//! do not depend on which other graphs share the batch; mapping is
+//! pure), then Metropolis acceptance walks the ordered batch
+//! sequentially — the first accepted candidate advances the current
+//! state, later candidates only update the best-seen. Consequences,
+//! pinned in `tests/engine_determinism.rs`:
 //!
-//! * at `proposals = 1` the engine reproduces the serial
-//!   [`crate::sa::anneal`] trace bit-for-bit (recipes, objectives,
-//!   acceptance flags);
+//! * at `proposals = 1` the engine reproduces a golden trace
+//!   bit-for-bit (recipes, objectives, acceptance flags, best-so-far and
+//!   proxy accuracies);
 //! * at any `proposals`, traces are bit-identical for every
 //!   `ALMOST_JOBS` worker count.
 
@@ -90,7 +91,7 @@ pub trait SearchObjective: Sync {
 
 /// The Eq.-1 security objective: `|acc − 0.5|` under a proxy attack
 /// model. Batch scoring fuses all candidates' localities into one
-/// block-diagonal GIN forward pass.
+/// batched GIN prediction.
 pub struct ProxyAccuracyObjective<'a> {
     /// The locked circuit whose key interface the proxy reads.
     pub locked: &'a LockedCircuit,
@@ -278,16 +279,6 @@ impl<'a> SearchEngine<'a> {
         }
     }
 
-    /// An engine with an explicit synthesis-cache node budget.
-    pub fn with_budget(base: Aig, budget: usize, objective: &'a dyn SearchObjective) -> Self {
-        SearchEngine {
-            trie: RecipeTrie::with_budget(base, budget),
-            objective,
-            candidates: 0,
-            elapsed: Duration::ZERO,
-        }
-    }
-
     /// The base network candidates are synthesised from.
     pub fn base(&self) -> &Aig {
         self.trie.base()
@@ -379,18 +370,19 @@ impl<'a> SearchEngine<'a> {
     /// new current state, later candidates only update the best-seen
     /// (and are recorded as rejected without consuming an acceptance
     /// draw). See the module docs for the determinism contract.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.proposals` is 0.
     pub fn anneal(&mut self, initial: Recipe, config: &SaConfig) -> EngineRun {
+        let k = config.proposals;
+        assert!(k >= 1, "SaConfig::proposals must be at least 1");
         let _span = telemetry::span(telemetry::Scope::Search, || {
-            format!(
-                "anneal {} steps x {}",
-                config.iterations,
-                config.proposals.max(1)
-            )
+            format!("anneal {} steps x {k}", config.iterations)
         });
         // Trie counters are cumulative across the engine's lifetime;
         // snapshot them so each step event carries per-step deltas.
         let mut last_cache = self.trie.stats();
-        let k = config.proposals.max(1);
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut current = initial;
         let initial_score = self.evaluate(&current);
@@ -479,7 +471,6 @@ impl<'a> SearchEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sa::anneal;
 
     fn test_aig() -> Aig {
         let mut aig = Aig::new();
@@ -509,38 +500,114 @@ mod tests {
         }
     }
 
+    /// Scores every candidate the same.
+    struct ConstantObjective;
+
+    impl SearchObjective for ConstantObjective {
+        fn score_batch(&self, candidates: &[Arc<Aig>]) -> Vec<Score> {
+            candidates.iter().map(|_| Score::plain(1.0)).collect()
+        }
+    }
+
     #[test]
-    fn engine_k1_matches_serial_anneal_bitwise() {
-        let base = test_aig();
+    fn engine_k1_counts_candidates_and_shares_prefixes() {
+        let objective = StructuralObjective;
+        let mut engine = SearchEngine::new(test_aig(), &objective);
         let config = SaConfig {
             iterations: 20,
             proposals: 1,
             seed: 9,
             ..SaConfig::default()
         };
-        let initial = Recipe::resyn2();
-        let (ref_best, ref_trace) = anneal(
-            initial.clone(),
-            |r| {
-                let out = r.apply(&base);
-                out.num_ands() as f64 + 0.25 * out.depth() as f64
-            },
-            &config,
-        );
-        let objective = StructuralObjective;
-        let mut engine = SearchEngine::new(base, &objective);
-        let run = engine.anneal(initial, &config);
-        assert_eq!(run.best, ref_best);
-        assert_eq!(run.trace.iterations.len(), ref_trace.iterations.len());
-        for (e, r) in run.trace.iterations.iter().zip(&ref_trace.iterations) {
-            assert_eq!(e.recipe, r.recipe);
-            assert_eq!(e.objective.to_bits(), r.objective.to_bits());
-            assert_eq!(e.accepted, r.accepted);
-            assert_eq!(e.best_objective.to_bits(), r.best_objective.to_bits());
-        }
+        let run = engine.anneal(Recipe::resyn2(), &config);
+        assert_eq!(run.trace.iterations.len(), 20);
         let stats = engine.stats();
         assert_eq!(stats.candidates, 21, "initial + one per step");
         assert!(stats.cache.hits > 0, "sibling proposals share prefixes");
+    }
+
+    #[test]
+    fn best_series_is_monotone() {
+        let objective = StructuralObjective;
+        let mut engine = SearchEngine::new(test_aig(), &objective);
+        let config = SaConfig {
+            iterations: 50,
+            seed: 4,
+            ..SaConfig::default()
+        };
+        let run = engine.anneal(Recipe::new(vec![Pass::Balance; 10]), &config);
+        let best = run.trace.best_series();
+        assert!(best[0] <= run.initial_score.objective);
+        for w in best.windows(2) {
+            assert!(w[1] <= w[0]);
+        }
+    }
+
+    #[test]
+    fn trace_marks_accepted_moves() {
+        let objective = ConstantObjective;
+        let mut engine = SearchEngine::new(test_aig(), &objective);
+        let config = SaConfig {
+            iterations: 30,
+            seed: 5,
+            ..SaConfig::default()
+        };
+        let run = engine.anneal(Recipe::resyn2(), &config);
+        assert_eq!(run.trace.iterations.len(), 30);
+        // Constant objective: delta = 0, always accepted.
+        assert!(run.trace.iterations.iter().all(|i| i.accepted));
+    }
+
+    #[test]
+    fn finds_a_known_optimum() {
+        // `ands + 0.25 * depth` bottoms out at 10.0 on `test_aig`: one
+        // `refactor` pass reaches 9 ANDs at depth 4. A cold schedule turns
+        // the late phase into hill climbing, which must find it from an
+        // all-`balance` start whatever the seed.
+        let objective = StructuralObjective;
+        let seeds = 8;
+        let found: Vec<u64> = (0..seeds)
+            .filter(|&seed| {
+                let mut engine = SearchEngine::new(test_aig(), &objective);
+                let config = SaConfig {
+                    iterations: 40,
+                    initial_temperature: 2.0,
+                    final_temperature: 0.01,
+                    acceptance: 1.8,
+                    proposals: 1,
+                    seed,
+                };
+                let run = engine.anneal(Recipe::new(vec![Pass::Balance; 10]), &config);
+                assert_eq!(run.trace.iterations.len(), 40);
+                assert!(
+                    run.initial_score.objective > 10.0,
+                    "the start is not optimal"
+                );
+                assert!(
+                    run.best_score.objective >= 10.0,
+                    "seed {seed}: below the optimum"
+                );
+                run.best_score.objective == 10.0
+            })
+            .collect();
+        assert_eq!(
+            found.len() as u64,
+            seeds,
+            "optimum reached by {}/{seeds} seeds: {found:?}",
+            found.len()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "SaConfig::proposals must be at least 1")]
+    fn zero_proposals_panics() {
+        let objective = ConstantObjective;
+        let mut engine = SearchEngine::new(test_aig(), &objective);
+        let config = SaConfig {
+            proposals: 0,
+            ..SaConfig::default()
+        };
+        engine.anneal(Recipe::resyn2(), &config);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! leaving PPA essentially untouched. The two components:
 //!
 //! 1. **Recipe search** ([`security`], Eq. 1): simulated annealing
-//!    ([`sa`]) over fixed-length recipes ([`recipe`], L = 10, seven ABC
+//!    ([`engine::SearchEngine::anneal`], configured by [`sa`]) over
+//!    fixed-length recipes ([`recipe`], L = 10, seven ABC
 //!    transformations) minimising `|acc − 0.5|`.
 //! 2. **Adversarially trained proxy M\*** ([`proxy`], Algorithm 1): a GIN
 //!    key-bit classifier that predicts attack accuracy for any recipe,
@@ -59,5 +60,5 @@ pub use ppa_opt::{resynthesis_search, PpaObjective, ResynthesisResult};
 pub use proxy::{accuracy_on_random_set, train_proxy, ProxyConfig, ProxyKind, ProxyModel};
 pub use recipe::{Recipe, RecipeTrie, TrieStats, RECIPE_LENGTH, TRIE_NODE_BUDGET};
 pub use rl::{reinforce, RecipePolicy, ReinforceConfig, ReinforceResult};
-pub use sa::{anneal, SaConfig, SaTrace};
+pub use sa::{SaConfig, SaTrace};
 pub use security::{generate_secure_recipe, SecurityResult};

@@ -133,16 +133,17 @@ impl ProxyModel {
 
     /// Predicted attack accuracy for a whole batch of deployments at
     /// once: locality extraction fans out per candidate on the worker
-    /// pool, then *all* candidates' localities are fused into one
-    /// block-diagonal [`GinClassifier::forward_batch`] evaluation — one
-    /// spmm per GIN round for the entire proposal batch.
+    /// pool, then *all* candidates' localities go through one
+    /// [`GinClassifier::predict_probs_batch`] call — one spmm per GIN
+    /// round per chunk of localities, whichever candidates they come
+    /// from.
     ///
     /// Entry `b` is bit-identical to
     /// [`ProxyModel::predict_accuracy`]`(locked, &deployed[b])` (the
     /// batched forward's row-independence contract carries through the
     /// 0.5 threshold), which is what lets the search engine score `K`
-    /// simulated-annealing proposals per step without perturbing the
-    /// serial trace.
+    /// simulated-annealing proposals per step without perturbing any
+    /// one candidate's score.
     pub fn predict_accuracy_batch(
         &self,
         locked: &LockedCircuit,
@@ -178,12 +179,10 @@ impl ProxyModel {
         if graphs.is_empty() {
             return 0.0;
         }
-        // One reused tape across the probe batch (the SA inner loop calls
-        // this per candidate recipe — no per-graph allocation).
-        let mut tape = almost_ml::tape::Tape::new();
+        let refs: Vec<&Graph> = graphs.iter().collect();
+        let probs = self.classifier.predict_probs_batch(&refs);
         let mut total = 0.0f64;
-        for g in graphs {
-            let p = self.classifier.predict_with(&mut tape, g);
+        for (g, p) in graphs.iter().zip(probs) {
             // Reconstruct logit-space BCE from the probability (clamped).
             let p = p.clamp(1e-6, 1.0 - 1e-6);
             let z = (p / (1.0 - p)).ln();
@@ -197,9 +196,7 @@ impl ProxyModel {
 /// Algorithm 1's inner objective (Eq. 3): the *negated* mean proxy loss
 /// on a re-locked probe — the engine minimises, so the adversarial
 /// search maximises the loss. Candidates score independently and fan out
-/// on the worker pool; the per-graph loss path is kept bit-identical to
-/// the pre-engine closure so adversarial training trajectories are
-/// unchanged.
+/// on the worker pool, each through [`ProxyModel::mean_loss`].
 struct AdversarialLossObjective<'a> {
     snapshot: &'a ProxyModel,
     probe: &'a LockedCircuit,
@@ -437,7 +434,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_accuracy_matches_serial_prediction_bitwise() {
+    fn batched_accuracy_matches_per_deployment_prediction_bitwise() {
         let locked = locked_c432();
         let model = train_proxy(&locked, ProxyKind::Resyn2, &tiny_config());
         let mut rng = StdRng::seed_from_u64(17);
@@ -450,7 +447,7 @@ mod tests {
             assert_eq!(
                 acc,
                 model.predict_accuracy(&locked, aig),
-                "fused batch entry must equal the serial prediction"
+                "fused batch entry must equal the single-deployment prediction"
             );
         }
         assert!(model.predict_accuracy_batch(&locked, &[]).is_empty());

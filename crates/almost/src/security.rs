@@ -34,10 +34,9 @@ pub struct SecurityResult {
 ///
 /// Runs on the batched [`SearchEngine`]: sibling proposals share
 /// synthesis intermediates through the recipe trie, and each step's
-/// proposal batch is scored through one fused GIN forward pass
+/// proposal batch is scored through one batched GIN prediction
 /// ([`ProxyModel::predict_accuracy_batch`]). `config.proposals` sets the
-/// batch width; at 1 the search reproduces the serial annealer trace
-/// bit-for-bit.
+/// batch width; the trace is bit-identical for any `ALMOST_JOBS`.
 pub fn generate_secure_recipe(
     locked: &LockedCircuit,
     proxy: &ProxyModel,

@@ -15,7 +15,6 @@ use crate::subgraph::{
 use almost_aig::{Aig, Script};
 use almost_locking::{relock, Rll};
 use almost_ml::gin::{GinClassifier, Graph};
-use almost_ml::tape::Tape;
 use almost_ml::train::{train, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -154,7 +153,10 @@ impl Omla {
     }
 
     /// Applies a trained model to the victim key inputs of a deployed
-    /// netlist; returns per-bit probabilities that each bit is 1.
+    /// netlist; returns per-bit probabilities that each bit is 1. All key
+    /// bits' localities go through one batched prediction
+    /// ([`GinClassifier::predict_probs_batch`]); each bit's probability
+    /// depends on its own locality alone.
     pub fn predict_bits(
         &self,
         model: &GinClassifier,
@@ -163,13 +165,8 @@ impl Omla {
     ) -> Vec<f32> {
         let dummy_labels = vec![false; key_positions.len()];
         let graphs = self.extract(deployed, key_positions, &dummy_labels);
-        // One reused tape across the key bits: prediction allocates
-        // nothing after the first locality.
-        let mut tape = Tape::new();
-        graphs
-            .iter()
-            .map(|g| model.predict_with(&mut tape, g))
-            .collect()
+        let refs: Vec<&Graph> = graphs.iter().collect();
+        model.predict_probs_batch(&refs)
     }
 
     /// Full evaluation path used by the ALMOST framework: accuracy of

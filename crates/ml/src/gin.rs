@@ -6,11 +6,20 @@
 //! key bit. The model here follows that recipe: K rounds of GIN message
 //! passing (`H' = MLP(Â H)`, `Â = A + I`), mean-pool readout, and a small
 //! MLP head producing a single logit.
+//!
+//! There is one forward pass, [`GinClassifier::forward_batch`], over a
+//! block-diagonal union of graphs; training, accuracy and prediction all
+//! go through it, and a batch of one is the single-graph case.
 
 use crate::nn::{BoundLinear, Linear};
 use crate::tape::{sigmoid, NodeId, Tape};
 use crate::tensor::{Matrix, SparseMatrix};
 use std::sync::Arc;
+
+/// Graphs per [`GinClassifier::forward_batch`] call in
+/// [`GinClassifier::predict_probs_batch`]. Bounds the inference tape's
+/// size; rows do not depend on their batch, so it changes no output bit.
+const PREDICT_CHUNK: usize = 32;
 
 /// One input graph: a symmetric CSR adjacency (with self-loops folded in)
 /// plus node features and a binary label.
@@ -150,111 +159,39 @@ impl GinClassifier {
         }
     }
 
-    /// Forward pass producing the logit node for one graph, aggregating
-    /// neighbourhoods with the sparse [`Tape::spmm`] kernel.
+    /// Forward pass over a batch of graphs, producing a `graphs.len()` × 1
+    /// logit column. The graphs are fused into one block-diagonal union:
+    /// one [`Tape::spmm`] per GIN round for the whole batch (O(E·d), not
+    /// the dense O(n²·d)), batch-wide MLP matmuls, segment-mean readout.
     ///
-    /// # Panics
-    ///
-    /// Panics if the graph's feature width differs from
-    /// [`GinClassifier::input_dim`].
-    pub fn forward(&self, tape: &mut Tape, bound: &BoundModel, graph: &Graph) -> NodeId {
-        assert_eq!(graph.features.cols(), self.input_dim, "feature width");
-        let mut h = tape.leaf_copy(&graph.features);
-        for (b1, b2) in &bound.convs {
-            let agg = tape.spmm(&graph.adj_hat, h);
-            h = self.conv_tail(tape, *b1, *b2, agg);
-        }
-        self.readout_head(tape, bound, h)
-    }
-
-    /// Dense-aggregation reference forward pass: materialises `Â` and
-    /// multiplies with the O(n²·d) dense kernel. Kept as the baseline the
-    /// sparse path is validated against (the parity suite) and timed
-    /// against (the `training_perf` harness) — the two produce
-    /// bit-identical logits, because CSR rows add the same products in
-    /// the same order as a dense row scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph's feature width differs from
-    /// [`GinClassifier::input_dim`].
-    pub fn forward_dense(&self, tape: &mut Tape, bound: &BoundModel, graph: &Graph) -> NodeId {
-        assert_eq!(graph.features.cols(), self.input_dim, "feature width");
-        let adj = tape.leaf(graph.adj_hat.to_dense());
-        let mut h = tape.leaf_copy(&graph.features);
-        for (b1, b2) in &bound.convs {
-            let agg = tape.matmul(adj, h);
-            h = self.conv_tail(tape, *b1, *b2, agg);
-        }
-        self.readout_head(tape, bound, h)
-    }
-
-    /// Batched forward pass: the graphs are fused into one block-diagonal
-    /// union (one spmm per GIN round for the whole minibatch, fatter MLP
-    /// matmuls) and the result is a `graphs.len()` × 1 logit column.
-    ///
-    /// Because every op involved treats rows independently — spmm rows
-    /// only reach within their own diagonal block, the MLPs are row-wise,
-    /// and pooling is per segment — row `b` of the output is
-    /// bit-identical to [`GinClassifier::forward`] on graph `b` alone.
+    /// Every op involved treats rows independently — spmm rows only reach
+    /// within their own diagonal block, the MLPs are row-wise, and pooling
+    /// is per segment — so row `b` of the output depends on graph `b`
+    /// alone, bit for bit, whatever else shares the batch.
     ///
     /// # Panics
     ///
     /// Panics if `graphs` is empty or a feature width differs from
     /// [`GinClassifier::input_dim`].
     pub fn forward_batch(&self, tape: &mut Tape, bound: &BoundModel, graphs: &[&Graph]) -> NodeId {
+        assert!(!graphs.is_empty(), "batch must be non-empty");
+        for g in graphs {
+            assert_eq!(g.features.cols(), self.input_dim, "feature width");
+        }
         let union = Arc::new(SparseMatrix::block_diagonal(
             &graphs
                 .iter()
                 .map(|g| g.adj_hat.as_ref())
                 .collect::<Vec<_>>(),
         ));
-        self.forward_union(tape, bound, graphs, |tape, h| tape.spmm(&union, h))
-    }
-
-    /// Batched dense-aggregation reference: identical structure to
-    /// [`GinClassifier::forward_batch`], but the union operator is
-    /// materialised and multiplied with the dense O(n²·d) kernel — the
-    /// "before" of the sparse hot path, bit-identical in output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graphs` is empty or a feature width differs from
-    /// [`GinClassifier::input_dim`].
-    pub fn forward_batch_dense(
-        &self,
-        tape: &mut Tape,
-        bound: &BoundModel,
-        graphs: &[&Graph],
-    ) -> NodeId {
-        let union = SparseMatrix::block_diagonal(
-            &graphs
-                .iter()
-                .map(|g| g.adj_hat.as_ref())
-                .collect::<Vec<_>>(),
-        );
-        let adj = tape.leaf(union.to_dense());
-        self.forward_union(tape, bound, graphs, |tape, h| tape.matmul(adj, h))
-    }
-
-    /// Shared body of the batched forward passes: concatenated features,
-    /// K rounds of `aggregate` + MLP, segment-mean readout, head.
-    fn forward_union(
-        &self,
-        tape: &mut Tape,
-        bound: &BoundModel,
-        graphs: &[&Graph],
-        mut aggregate: impl FnMut(&mut Tape, NodeId) -> NodeId,
-    ) -> NodeId {
-        assert!(!graphs.is_empty(), "batch must be non-empty");
-        for g in graphs {
-            assert_eq!(g.features.cols(), self.input_dim, "feature width");
-        }
         let feats: Vec<&Matrix> = graphs.iter().map(|g| &g.features).collect();
         let mut h = tape.leaf_concat_rows(&feats);
         for (b1, b2) in &bound.convs {
-            let agg = aggregate(tape, h);
-            h = self.conv_tail(tape, *b1, *b2, agg);
+            let agg = tape.spmm(&union, h);
+            let z1 = Linear::forward(*b1, tape, agg);
+            let a1 = tape.relu(z1);
+            let z2 = Linear::forward(*b2, tape, a1);
+            h = tape.relu(z2);
         }
         let seg_lens: Vec<u32> = graphs.iter().map(|g| g.num_nodes() as u32).collect();
         let pooled = tape.segment_mean_rows(h, &seg_lens);
@@ -263,55 +200,24 @@ impl GinClassifier {
         Linear::forward(bound.head, tape, r)
     }
 
-    /// The two-layer MLP of one GIN round (shared by all forward paths).
-    fn conv_tail(&self, tape: &mut Tape, b1: BoundLinear, b2: BoundLinear, agg: NodeId) -> NodeId {
-        let z1 = Linear::forward(b1, tape, agg);
-        let a1 = tape.relu(z1);
-        let z2 = Linear::forward(b2, tape, a1);
-        tape.relu(z2)
-    }
-
-    /// Mean-pool readout plus MLP head (single-graph forward paths).
-    fn readout_head(&self, tape: &mut Tape, bound: &BoundModel, h: NodeId) -> NodeId {
-        let pooled = tape.mean_rows(h);
-        let r = Linear::forward(bound.readout, tape, pooled);
-        let r = tape.relu(r);
-        Linear::forward(bound.head, tape, r)
-    }
-
-    /// Predicted probability that the key bit is 1, recorded on a caller
-    /// supplied tape (which is reset first) so evaluation loops reuse one
-    /// workspace instead of allocating per graph.
-    pub fn predict_with(&self, tape: &mut Tape, graph: &Graph) -> f32 {
-        tape.reset();
-        let bound = self.bind(tape);
-        let logit = self.forward(tape, &bound, graph);
-        sigmoid(tape.value(logit).get(0, 0))
-    }
-
-    /// Predicted probability that the key bit is 1.
-    pub fn predict(&self, graph: &Graph) -> f32 {
-        self.predict_with(&mut Tape::new(), graph)
-    }
-
-    /// Predicted probabilities for a whole batch through one
-    /// block-diagonal [`GinClassifier::forward_batch`] call — one spmm
-    /// per GIN round for the entire batch instead of one per graph.
+    /// Predicted probabilities that each graph's key bit is 1.
     ///
-    /// Row `b` is bit-identical to [`GinClassifier::predict`] on
-    /// `graphs[b]` (the batched forward's row-independence contract), so
-    /// accuracies computed from this path match the serial path exactly.
+    /// The graphs go through [`GinClassifier::forward_batch`] in chunks of
+    /// 32 on one reused tape, so memory stays bounded whatever the list
+    /// length. Entry `b` depends on `graphs[b]` alone (the batched
+    /// forward's row-independence contract), so neither the chunking nor
+    /// splitting a list across calls changes any bit.
     pub fn predict_probs_batch(&self, graphs: &[&Graph]) -> Vec<f32> {
-        if graphs.is_empty() {
-            return Vec::new();
-        }
         let mut tape = Tape::new();
-        let bound = self.bind(&mut tape);
-        let logits = self.forward_batch(&mut tape, &bound, graphs);
-        let values = tape.value(logits);
-        (0..graphs.len())
-            .map(|b| sigmoid(values.get(b, 0)))
-            .collect()
+        let mut probs = Vec::with_capacity(graphs.len());
+        for chunk in graphs.chunks(PREDICT_CHUNK) {
+            tape.reset();
+            let bound = self.bind(&mut tape);
+            let logits = self.forward_batch(&mut tape, &bound, chunk);
+            let values = tape.value(logits);
+            probs.extend((0..chunk.len()).map(|b| sigmoid(values.get(b, 0))));
+        }
+        probs
     }
 
     /// Classification accuracy over a labelled set (threshold 0.5).
@@ -319,10 +225,12 @@ impl GinClassifier {
         if graphs.is_empty() {
             return 0.0;
         }
-        let mut tape = Tape::new();
-        let correct = graphs
-            .iter()
-            .filter(|g| (self.predict_with(&mut tape, g) >= 0.5) == g.label)
+        let refs: Vec<&Graph> = graphs.iter().collect();
+        let correct = self
+            .predict_probs_batch(&refs)
+            .into_iter()
+            .zip(graphs)
+            .filter(|(p, g)| (*p >= 0.5) == g.label)
             .count();
         correct as f64 / graphs.len() as f64
     }
@@ -342,26 +250,14 @@ mod tests {
     fn forward_is_deterministic() {
         let model = GinClassifier::new(2, 8, 2, 42);
         let g = toy_graph(true, 0.5);
-        assert_eq!(model.predict(&g), model.predict(&g));
+        assert_eq!(
+            model.predict_probs_batch(&[&g]),
+            model.predict_probs_batch(&[&g])
+        );
     }
 
     #[test]
-    fn sparse_and_dense_forward_agree_bitwise() {
-        let model = GinClassifier::new(2, 8, 2, 23);
-        for bias in [-1.0, 0.0, 0.5, 2.0] {
-            let g = toy_graph(bias > 0.0, bias);
-            let mut ts = Tape::new();
-            let bs = model.bind(&mut ts);
-            let ls = model.forward(&mut ts, &bs, &g);
-            let mut td = Tape::new();
-            let bd = model.bind(&mut td);
-            let ld = model.forward_dense(&mut td, &bd, &g);
-            assert_eq!(ts.value(ls), td.value(ld));
-        }
-    }
-
-    #[test]
-    fn batched_forward_rows_match_single_graph_forwards() {
+    fn batched_forward_emits_one_logit_per_graph() {
         let model = GinClassifier::new(2, 8, 2, 9);
         let graphs = [
             toy_graph(true, 0.4),
@@ -369,49 +265,29 @@ mod tests {
             toy_graph(true, 2.0),
         ];
         let refs: Vec<&Graph> = graphs.iter().collect();
-
-        let mut tb = Tape::new();
-        let bb = model.bind(&mut tb);
-        let logits = model.forward_batch(&mut tb, &bb, &refs);
-        assert_eq!((tb.value(logits).rows(), tb.value(logits).cols()), (3, 1));
-
-        let mut td = Tape::new();
-        let bd = model.bind(&mut td);
-        let dense_logits = model.forward_batch_dense(&mut td, &bd, &refs);
+        let mut tape = Tape::new();
+        let bound = model.bind(&mut tape);
+        let logits = model.forward_batch(&mut tape, &bound, &refs);
         assert_eq!(
-            tb.value(logits),
-            td.value(dense_logits),
-            "sparse/dense batch parity"
+            (tape.value(logits).rows(), tape.value(logits).cols()),
+            (3, 1)
         );
-
-        for (b, g) in graphs.iter().enumerate() {
-            let mut t = Tape::new();
-            let bound = model.bind(&mut t);
-            let single = model.forward(&mut t, &bound, g);
-            assert_eq!(
-                t.value(single).get(0, 0),
-                tb.value(logits).get(b, 0),
-                "row {b} of the batch must equal the single-graph forward bitwise"
-            );
-        }
+        assert_eq!(model.predict_probs_batch(&refs).len(), 3);
+        assert!(model.predict_probs_batch(&[]).is_empty());
     }
 
     #[test]
-    fn batched_probabilities_match_serial_predictions_bitwise() {
-        let model = GinClassifier::new(2, 8, 2, 31);
-        let graphs = [
-            toy_graph(true, 0.4),
-            toy_graph(false, -1.2),
-            toy_graph(true, 2.0),
-            toy_graph(false, 0.0),
-        ];
+    fn chunked_prediction_matches_one_graph_at_a_time() {
+        let model = GinClassifier::new(2, 8, 2, 5);
+        let graphs: Vec<Graph> = (0..2 * PREDICT_CHUNK + 3)
+            .map(|i| toy_graph(i % 2 == 0, i as f32 / 10.0 - 3.0))
+            .collect();
         let refs: Vec<&Graph> = graphs.iter().collect();
-        let probs = model.predict_probs_batch(&refs);
-        assert_eq!(probs.len(), graphs.len());
-        for (g, p) in graphs.iter().zip(&probs) {
-            assert_eq!(*p, model.predict(g), "batch row must equal serial predict");
-        }
-        assert!(model.predict_probs_batch(&[]).is_empty());
+        let singles: Vec<f32> = graphs
+            .iter()
+            .flat_map(|g| model.predict_probs_batch(&[g]))
+            .collect();
+        assert_eq!(model.predict_probs_batch(&refs), singles);
     }
 
     #[test]
@@ -419,23 +295,6 @@ mod tests {
         let g = toy_graph(true, 1.0);
         assert!(g.adj_hat.is_symmetric());
         assert_eq!(g.adj_hat.nnz(), 4); // two self-loops + one edge both ways
-    }
-
-    #[test]
-    fn predict_with_reuses_one_workspace() {
-        let model = GinClassifier::new(2, 8, 2, 42);
-        let g = toy_graph(true, 0.5);
-        let mut tape = Tape::new();
-        let first = model.predict_with(&mut tape, &g);
-        let allocs = tape.stats().fresh_buffers;
-        for _ in 0..5 {
-            assert_eq!(model.predict_with(&mut tape, &g), first);
-        }
-        assert_eq!(
-            tape.stats().fresh_buffers,
-            allocs,
-            "warm tape allocates nothing"
-        );
     }
 
     #[test]
@@ -452,8 +311,12 @@ mod tests {
     #[test]
     fn untrained_predictions_are_probabilities() {
         let model = GinClassifier::new(2, 8, 2, 7);
-        for bias in [-2.0, 0.0, 2.0] {
-            let p = model.predict(&toy_graph(false, bias));
+        let graphs: Vec<Graph> = [-2.0, 0.0, 2.0]
+            .into_iter()
+            .map(|bias| toy_graph(false, bias))
+            .collect();
+        let refs: Vec<&Graph> = graphs.iter().collect();
+        for p in model.predict_probs_batch(&refs) {
             assert!((0.0..=1.0).contains(&p));
         }
     }

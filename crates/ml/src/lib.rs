@@ -33,8 +33,8 @@
 //!
 //! let model = GinClassifier::new(2, 8, 2, 42);
 //! let g = Graph::from_edges(2, &[(0, 1)], Matrix::zeros(2, 2), false);
-//! let p = model.predict(&g);
-//! assert!((0.0..=1.0).contains(&p));
+//! let p = model.predict_probs_batch(&[&g]);
+//! assert!((0.0..=1.0).contains(&p[0]));
 //! ```
 
 pub mod data;
@@ -49,4 +49,4 @@ pub use gin::{GinClassifier, Graph};
 pub use optim::Adam;
 pub use tape::Tape;
 pub use tensor::{Matrix, SparseMatrix};
-pub use train::{train, train_dense_reference, train_with_callback, TrainConfig, TrainStats};
+pub use train::{train, train_with_callback, TrainConfig, TrainStats};

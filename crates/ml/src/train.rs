@@ -16,6 +16,10 @@
 //! - block gradients are folded into the shared accumulator **in block
 //!   order** on the calling thread after the pool joins.
 //!
+//! [`train`] and [`train_with_callback`] share this one loop; at
+//! `ALMOST_JOBS=1` the pool runs the same blocks in order on the calling
+//! thread.
+//!
 //! The per-block tapes and gradient buffers persist across batches and
 //! epochs, so after the first epoch the **tape workspace** — where all
 //! matrix buffers live — allocates nothing (the [`TrainStats`] counters
@@ -114,32 +118,7 @@ pub fn train_with_callback(
     model: &mut GinClassifier,
     graphs: &[Graph],
     config: &TrainConfig,
-    on_epoch: impl FnMut(usize, f32),
-) -> TrainStats {
-    train_impl(model, graphs, config, on_epoch, false)
-}
-
-/// The dense serial baseline: identical loop structure, but neighbourhood
-/// aggregation goes through the O(n²·d) dense matmul
-/// ([`GinClassifier::forward_dense`]) and every sub-block runs on the
-/// calling thread. Because the two aggregation kernels add the same
-/// products in the same order, this reproduces [`train`]'s `epoch_losses`
-/// **bit-for-bit** — it exists as the reference the parity suite asserts
-/// against and the slow "before" the `training_perf` harness times.
-pub fn train_dense_reference(
-    model: &mut GinClassifier,
-    graphs: &[Graph],
-    config: &TrainConfig,
-) -> TrainStats {
-    train_impl(model, graphs, config, |_, _| {}, true)
-}
-
-fn train_impl(
-    model: &mut GinClassifier,
-    graphs: &[Graph],
-    config: &TrainConfig,
     mut on_epoch: impl FnMut(usize, f32),
-    dense_serial: bool,
 ) -> TrainStats {
     if graphs.is_empty() {
         return TrainStats::empty();
@@ -198,11 +177,7 @@ fn train_impl(
                 tape.reset();
                 let bound = model_ref.bind(tape);
                 let block_graphs: Vec<&Graph> = blk.iter().map(|&gi| &graphs[gi]).collect();
-                let logits = if dense_serial {
-                    model_ref.forward_batch_dense(tape, &bound, &block_graphs)
-                } else {
-                    model_ref.forward_batch(tape, &bound, &block_graphs)
-                };
+                let logits = model_ref.forward_batch(tape, &bound, &block_graphs);
                 let targets: Vec<f32> = block_graphs.iter().map(|g| g.label as u8 as f32).collect();
                 let total = tape.bce_with_logits_batch(logits, &targets);
                 tape.backward(total);
@@ -226,14 +201,7 @@ fn train_impl(
 
             let jobs: Vec<&[usize]> = chunk.chunks(PAR_BLOCK).collect();
             let used_blocks = jobs.len();
-            let block_losses: Vec<f32> = if dense_serial {
-                jobs.into_iter()
-                    .enumerate()
-                    .map(|(i, blk)| run_block(i, blk))
-                    .collect()
-            } else {
-                pool::map_indexed(jobs, run_block)
-            };
+            let block_losses: Vec<f32> = pool::map_indexed(jobs, run_block);
 
             // Ordered reduction: block 0, block 1, … — the association is
             // fixed by the batch layout, not the scheduling.
@@ -336,32 +304,6 @@ mod tests {
         let first = stats.epoch_losses.first().copied().expect("epochs ran");
         let last = stats.epoch_losses.last().copied().expect("epochs ran");
         assert!(last < first, "loss must decrease: {first} -> {last}");
-    }
-
-    #[test]
-    fn sparse_parallel_training_matches_the_dense_serial_reference() {
-        let data = separable_dataset(40, 21);
-        let config = TrainConfig {
-            epochs: 6,
-            batch_size: 16,
-            learning_rate: 5e-3,
-            seed: 9,
-        };
-        let mut sparse_model = GinClassifier::new(2, 8, 2, 31);
-        let mut dense_model = sparse_model.clone();
-        let sparse = train(&mut sparse_model, &data, &config);
-        let dense = train_dense_reference(&mut dense_model, &data, &config);
-        assert_eq!(
-            sparse.epoch_losses, dense.epoch_losses,
-            "sparse aggregation reproduces the dense reference bit-for-bit"
-        );
-        for (p, q) in sparse_model
-            .parameters()
-            .iter()
-            .zip(dense_model.parameters())
-        {
-            assert_eq!(*p, q, "trained parameters are bit-identical too");
-        }
     }
 
     #[test]
