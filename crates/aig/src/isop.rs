@@ -2,11 +2,16 @@
 //! SOP-based AIG re-synthesis.
 //!
 //! Given a truth table, [`isop`] computes an irredundant cube cover, and
-//! [`build_sop`] / [`build_from_tt`] turn covers back into AIG structure.
-//! This is the re-synthesis engine behind the `rewrite` and `refactor`
-//! passes.
+//! [`build_sop`] turns a cover back into AIG structure. [`Resynth`] is the
+//! re-synthesis engine behind the `rewrite` and `refactor` passes: it
+//! picks the cheapest of two SOP candidates and a Shannon decomposition by
+//! probing each through the structural hash of the graph being built. It
+//! probes each candidate once, keeps a winning Shannon probe instead of
+//! rebuilding it, and memoises everything that depends on the truth table
+//! alone for the lifetime of one pass call (see [`Resynth`]).
 
 use crate::aig::{Aig, Lit};
+use crate::fxhash::FxHashMap;
 use crate::truth::Tt;
 
 /// A product term over the variables of a truth table.
@@ -119,8 +124,9 @@ fn isop_rec(lower: &Tt, upper: &Tt, top: usize) -> (Vec<Cube>, Tt) {
 /// is reused for free.
 pub fn build_sop(dest: &mut Aig, cubes: &[Cube], leaves: &[Lit]) -> Lit {
     let mut terms = Vec::with_capacity(cubes.len());
+    let mut lits = Vec::with_capacity(leaves.len());
     for cube in cubes {
-        let mut lits = Vec::with_capacity(cube.num_literals() as usize);
+        lits.clear();
         for (v, &leaf) in leaves.iter().enumerate() {
             if cube.pos >> v & 1 != 0 {
                 lits.push(leaf);
@@ -133,91 +139,215 @@ pub fn build_sop(dest: &mut Aig, cubes: &[Cube], leaves: &[Lit]) -> Lit {
     dest.or_many(&terms)
 }
 
-/// Builds an AIG computing the truth table `tt` over `leaves`, choosing the
-/// cheaper of: ISOP of `tt`, ISOP of `!tt` (complemented), or top-variable
-/// Shannon decomposition, measured in AND nodes actually added to `dest`.
+/// Covers wider than this many cubes (in both polarities) are never built
+/// as SOPs, which would explode (e.g. parity); such functions take a
+/// committed Shannon decomposition instead.
+const MAX_CUBES: usize = 96;
+
+/// Shannon decomposition is probed as a third candidate only up to this
+/// many variables, to bound the probing recursion.
+const MAX_SHANNON_PROBE_VARS: usize = 5;
+
+/// How [`Resynth::build`] realises one truth table. Depends on the table
+/// alone, so it is computed once per distinct table and memoised.
+#[derive(Clone, Copy, Debug)]
+enum Plan {
+    /// A constant function.
+    Const(Lit),
+    /// A single (possibly complemented) variable: `leaves[var]`, xor the
+    /// flag.
+    Leaf(usize, bool),
+    /// Both covers exceed [`MAX_CUBES`]: commit a Shannon decomposition.
+    Wide(Shannon),
+    /// Probe the ISOP of the table and of its complement (cube ranges into
+    /// [`Resynth::cubes`]) and, if set, a Shannon decomposition.
+    Probe {
+        pos: (u32, u32),
+        neg: (u32, u32),
+        shannon: Option<Shannon>,
+    },
+}
+
+/// A Shannon decomposition: the pivot variable and the plan ids of the
+/// cofactor tables (`var = 0` first).
+#[derive(Clone, Copy, Debug)]
+struct Shannon {
+    var: usize,
+    cofactors: [u32; 2],
+}
+
+/// Truth-table resynthesis context: builds an AIG computing a truth table
+/// over given leaf literals, choosing the cheapest of three candidates
+/// measured in AND nodes actually added to `dest`:
 ///
-/// Speculative candidates are constructed and rolled back via
-/// [`Aig::checkpoint`]/[`Aig::rollback`], so only the winner remains.
+/// 1. the ISOP of `tt`;
+/// 2. the ISOP of `!tt`, complemented;
+/// 3. for functions of at most five variables, a Shannon decomposition on
+///    the most binate variable, its cofactors built recursively the same
+///    way.
 ///
-/// # Panics
+/// Ties go to the earlier candidate. When both covers exceed 96 cubes,
+/// the Shannon decomposition is committed without probing. This is the
+/// re-synthesis engine behind the `rewrite` and `refactor` passes; each
+/// pass call owns one context.
 ///
-/// Panics if `leaves.len() != tt.nvars()`.
-pub fn build_from_tt(dest: &mut Aig, tt: &Tt, leaves: &[Lit]) -> Lit {
-    assert_eq!(leaves.len(), tt.nvars(), "leaf count must match variables");
-    if tt.is_zero() {
-        return Lit::FALSE;
+/// # Probe-once contract
+///
+/// Each candidate is *probed*: built into `dest` through its structural
+/// hash, which is the only way to learn its cost under the sharing `dest`
+/// already offers. A losing probe is undone with [`Aig::rollback`], which
+/// restores the exact construction state. Shannon is probed last, so when
+/// it wins its nodes are simply kept; an SOP winner is rebuilt (a cheap,
+/// non-recursive build that reproduces the probe node for node). A
+/// recursive Shannon subtree is therefore built once per probe of its
+/// root, not once more for every level at which Shannon wins, which made
+/// the cost grow as 4^depth instead of 2^depth. Callers follow the same
+/// rule one level up: probe with [`Resynth::build`], keep the nodes if the
+/// result is accepted, and roll back otherwise.
+///
+/// What depends on the table alone is computed once per distinct table
+/// and memoised for the context's lifetime: the degenerate cases, both
+/// covers, the Shannon pivot and the plans of its cofactors. Node costs
+/// are never memoised: they depend on the sharing in `dest`.
+///
+/// # Example
+///
+/// ```
+/// use almost_aig::isop::Resynth;
+/// use almost_aig::{Aig, Lit, Tt};
+/// let mut aig = Aig::new();
+/// let leaves: Vec<Lit> = (0..3).map(|_| aig.add_input()).collect();
+/// let maj = Tt::from_u64(3, 0b1110_1000);
+/// let root = Resynth::default().build(&mut aig, &maj, &leaves);
+/// aig.add_output(root);
+/// assert_eq!(aig.eval(&[true, true, false]), vec![true]);
+/// assert_eq!(aig.eval(&[false, false, true]), vec![false]);
+/// ```
+#[derive(Default)]
+pub struct Resynth {
+    /// Plan id of every table seen so far.
+    ids: FxHashMap<Tt, u32>,
+    plans: Vec<Plan>,
+    /// Arena holding every memoised cover; plans index into it.
+    cubes: Vec<Cube>,
+}
+
+impl Resynth {
+    /// Builds an AIG computing `tt` over `leaves` into `dest` and returns
+    /// its root literal. See the [type documentation](Resynth) for the
+    /// candidates and the probe-once contract.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaves.len() != tt.nvars()`.
+    pub fn build(&mut self, dest: &mut Aig, tt: &Tt, leaves: &[Lit]) -> Lit {
+        assert_eq!(leaves.len(), tt.nvars(), "leaf count must match variables");
+        let id = self.plan_id(tt);
+        self.build_plan(dest, id, leaves)
     }
-    if tt.is_one() {
-        return Lit::TRUE;
-    }
-    // Single-variable function?
-    for (v, &leaf) in leaves.iter().enumerate() {
-        if &Tt::var(v, tt.nvars()) == tt {
-            return leaf;
+
+    fn build_plan(&self, dest: &mut Aig, id: u32, leaves: &[Lit]) -> Lit {
+        match self.plans[id as usize] {
+            Plan::Const(lit) => lit,
+            Plan::Leaf(v, complement) => leaves[v].xor_complement(complement),
+            Plan::Wide(shannon) => self.build_shannon(dest, shannon, leaves),
+            Plan::Probe { pos, neg, shannon } => {
+                let cp = dest.checkpoint();
+                build_sop(dest, self.cover(pos), leaves);
+                let cost_pos = dest.checkpoint() - cp;
+                dest.rollback(cp);
+                build_sop(dest, self.cover(neg), leaves);
+                let cost_neg = dest.checkpoint() - cp;
+                dest.rollback(cp);
+                if let Some(shannon) = shannon {
+                    let lit = self.build_shannon(dest, shannon, leaves);
+                    let cost = dest.checkpoint() - cp;
+                    if cost < cost_pos && cost < cost_neg {
+                        return lit;
+                    }
+                    dest.rollback(cp);
+                }
+                if cost_pos <= cost_neg {
+                    build_sop(dest, self.cover(pos), leaves)
+                } else {
+                    !build_sop(dest, self.cover(neg), leaves)
+                }
+            }
         }
-        if &Tt::var(v, tt.nvars()).not() == tt {
-            return !leaf;
+    }
+
+    /// `leaves[var] ? f|var=1 : f|var=0`, cofactor 0 built first.
+    fn build_shannon(&self, dest: &mut Aig, shannon: Shannon, leaves: &[Lit]) -> Lit {
+        let [c0, c1] = shannon.cofactors;
+        let l0 = self.build_plan(dest, c0, leaves);
+        let l1 = self.build_plan(dest, c1, leaves);
+        dest.mux(leaves[shannon.var], l1, l0)
+    }
+
+    fn cover(&self, (start, end): (u32, u32)) -> &[Cube] {
+        &self.cubes[start as usize..end as usize]
+    }
+
+    /// The id of the memoised plan for `tt`, planned on first sight
+    /// together with every cofactor its Shannon decomposition needs.
+    fn plan_id(&mut self, tt: &Tt) -> u32 {
+        if let Some(&id) = self.ids.get(tt) {
+            return id;
+        }
+        let plan = self.make_plan(tt);
+        let id = self.plans.len() as u32;
+        self.plans.push(plan);
+        self.ids.insert(tt.clone(), id);
+        id
+    }
+
+    fn make_plan(&mut self, tt: &Tt) -> Plan {
+        let nvars = tt.nvars();
+        if tt.is_zero() {
+            return Plan::Const(Lit::FALSE);
+        }
+        if tt.is_one() {
+            return Plan::Const(Lit::TRUE);
+        }
+        let not_tt = tt.not();
+        for v in 0..nvars {
+            let var = Tt::var(v, nvars);
+            if &var == tt {
+                return Plan::Leaf(v, false);
+            }
+            if var == not_tt {
+                return Plan::Leaf(v, true);
+            }
+        }
+        let cubes_pos = isop(tt);
+        let cubes_neg = isop(&not_tt);
+        if cubes_pos.len().min(cubes_neg.len()) > MAX_CUBES {
+            let var = most_binate_var(tt).expect("non-degenerate function has support");
+            return Plan::Wide(self.shannon(tt, var));
+        }
+        let pos = self.intern(cubes_pos);
+        let neg = self.intern(cubes_neg);
+        let shannon = if nvars <= MAX_SHANNON_PROBE_VARS {
+            most_binate_var(tt).map(|var| self.shannon(tt, var))
+        } else {
+            None
+        };
+        Plan::Probe { pos, neg, shannon }
+    }
+
+    fn shannon(&mut self, tt: &Tt, var: usize) -> Shannon {
+        let c0 = self.plan_id(&tt.cofactor0(var));
+        let c1 = self.plan_id(&tt.cofactor1(var));
+        Shannon {
+            var,
+            cofactors: [c0, c1],
         }
     }
 
-    let cubes_pos = isop(tt);
-    let cubes_neg = isop(&tt.not());
-
-    // For covers that are too wide, SOP construction would explode (e.g.
-    // parity); fall back to a committed Shannon decomposition instead.
-    const MAX_CUBES: usize = 96;
-    if cubes_pos.len().min(cubes_neg.len()) > MAX_CUBES {
-        let v = most_binate_var(tt).expect("non-degenerate function has support");
-        let l0 = build_from_tt(dest, &tt.cofactor0(v), leaves);
-        let l1 = build_from_tt(dest, &tt.cofactor1(v), leaves);
-        return dest.mux(leaves[v], l1, l0);
-    }
-
-    // Candidate 1: ISOP of tt.
-    let cp = dest.checkpoint();
-    build_sop(dest, &cubes_pos, leaves);
-    let cost_pos = dest.checkpoint() - cp;
-    dest.rollback(cp);
-
-    // Candidate 2: complemented ISOP.
-    build_sop(dest, &cubes_neg, leaves);
-    let cost_neg = dest.checkpoint() - cp;
-    dest.rollback(cp);
-
-    // Candidate 3 (small functions only, to bound the probing recursion):
-    // Shannon decomposition on the most binate variable.
-    let shannon_var = if tt.nvars() <= 5 {
-        most_binate_var(tt)
-    } else {
-        None
-    };
-    let cost_shannon = shannon_var.map(|v| {
-        let l0 = build_from_tt(dest, &tt.cofactor0(v), leaves);
-        let l1 = build_from_tt(dest, &tt.cofactor1(v), leaves);
-        let _m = dest.mux(leaves[v], l1, l0);
-        let cost = dest.checkpoint() - cp;
-        dest.rollback(cp);
-        cost
-    });
-
-    // Commit the cheapest candidate.
-    let best = [Some(cost_pos), Some(cost_neg), cost_shannon]
-        .iter()
-        .flatten()
-        .min()
-        .copied()
-        .expect("at least one candidate");
-
-    if best == cost_pos {
-        build_sop(dest, &cubes_pos, leaves)
-    } else if best == cost_neg {
-        !build_sop(dest, &cubes_neg, leaves)
-    } else {
-        let v = shannon_var.expect("shannon candidate was chosen");
-        let l0 = build_from_tt(dest, &tt.cofactor0(v), leaves);
-        let l1 = build_from_tt(dest, &tt.cofactor1(v), leaves);
-        dest.mux(leaves[v], l1, l0)
+    fn intern(&mut self, cubes: Vec<Cube>) -> (u32, u32) {
+        let start = self.cubes.len() as u32;
+        self.cubes.extend(cubes);
+        (start, self.cubes.len() as u32)
     }
 }
 
@@ -281,7 +411,7 @@ mod tests {
     }
 
     #[test]
-    fn build_from_tt_is_functionally_correct() {
+    fn resynth_is_functionally_correct() {
         // All 4-variable functions would be 65536 cases; sample a spread.
         let mut seed = 0x9E37_79B9_u64;
         for _ in 0..200 {
@@ -292,7 +422,7 @@ mod tests {
             let f = Tt::from_u64(4, bits);
             let mut aig = Aig::new();
             let leaves: Vec<Lit> = (0..4).map(|_| aig.add_input()).collect();
-            let root = build_from_tt(&mut aig, &f, &leaves);
+            let root = Resynth::default().build(&mut aig, &f, &leaves);
             aig.add_output(root);
             for idx in 0..16usize {
                 let ins: Vec<bool> = (0..4).map(|i| idx >> i & 1 != 0).collect();
@@ -306,21 +436,22 @@ mod tests {
     }
 
     #[test]
-    fn build_from_tt_handles_degenerate_cases() {
+    fn resynth_handles_degenerate_cases() {
         let mut aig = Aig::new();
         let leaves: Vec<Lit> = (0..3).map(|_| aig.add_input()).collect();
-        assert_eq!(build_from_tt(&mut aig, &Tt::zero(3), &leaves), Lit::FALSE);
-        assert_eq!(build_from_tt(&mut aig, &Tt::one(3), &leaves), Lit::TRUE);
-        assert_eq!(build_from_tt(&mut aig, &Tt::var(1, 3), &leaves), leaves[1]);
+        let mut resynth = Resynth::default();
+        assert_eq!(resynth.build(&mut aig, &Tt::zero(3), &leaves), Lit::FALSE);
+        assert_eq!(resynth.build(&mut aig, &Tt::one(3), &leaves), Lit::TRUE);
+        assert_eq!(resynth.build(&mut aig, &Tt::var(1, 3), &leaves), leaves[1]);
         assert_eq!(
-            build_from_tt(&mut aig, &Tt::var(2, 3).not(), &leaves),
+            resynth.build(&mut aig, &Tt::var(2, 3).not(), &leaves),
             !leaves[2]
         );
         assert_eq!(aig.num_ands(), 0);
     }
 
     #[test]
-    fn build_from_tt_large_function() {
+    fn resynth_builds_a_large_function() {
         // 8-variable parity: stresses the word-level truth tables.
         let mut f = Tt::zero(8);
         for v in 0..8 {
@@ -328,7 +459,7 @@ mod tests {
         }
         let mut aig = Aig::new();
         let leaves: Vec<Lit> = (0..8).map(|_| aig.add_input()).collect();
-        let root = build_from_tt(&mut aig, &f, &leaves);
+        let root = Resynth::default().build(&mut aig, &f, &leaves);
         aig.add_output(root);
         for idx in [0usize, 1, 3, 7, 85, 170, 255, 128, 200] {
             let ins: Vec<bool> = (0..8).map(|i| idx >> i & 1 != 0).collect();

@@ -46,6 +46,7 @@ pub mod aiger;
 pub mod compile;
 pub mod cut;
 pub mod fraig;
+mod fxhash;
 pub mod isop;
 pub mod mffc;
 pub mod npn;

@@ -4,11 +4,14 @@
 //! and collapsed into a truth table; the function is then re-synthesised
 //! from an irredundant SOP (or its complement, or a Shannon decomposition —
 //! whichever is cheapest through the structural hash). The replacement is
-//! accepted when it adds fewer nodes than the node's MFFC frees.
+//! accepted when it adds fewer nodes than the node's MFFC frees. As in
+//! `rewrite`, the replacement is built once as a probe, kept in place when
+//! accepted and rolled back otherwise, and one [`Resynth`] memoises covers
+//! across the pass.
 
 use crate::aig::{Aig, Lit};
 use crate::cut::{cut_function, Cut};
-use crate::isop::build_from_tt;
+use crate::isop::Resynth;
 use crate::mffc::mffc_size;
 use crate::passes::window::reconvergence_cut;
 use std::collections::HashSet;
@@ -20,6 +23,7 @@ const MAX_LEAVES: usize = 8;
 pub fn refactor(aig: &Aig, zero_cost: bool) -> Aig {
     let mut refs = aig.fanout_counts();
     let mut new = Aig::new();
+    let mut resynth = Resynth::default();
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
     for i in 0..aig.num_inputs() {
         map[aig.inputs()[i] as usize] = new.add_named_input(aig.input_name(i).to_string());
@@ -47,15 +51,13 @@ pub fn refactor(aig: &Aig, zero_cost: bool) -> Aig {
         let leaves_new: Vec<Lit> = leaves.iter().map(|&l| map[l as usize]).collect();
 
         let cp = new.checkpoint();
-        let cand = build_from_tt(&mut new, &tt, &leaves_new);
-        let added = (new.checkpoint() - cp) as isize;
-        new.rollback(cp);
-
-        let gain = credit - added;
+        let cand = resynth.build(&mut new, &tt, &leaves_new);
+        let gain = credit - (new.checkpoint() - cp) as isize;
         if gain > 0 || (zero_cost && gain == 0 && cand != default) {
-            let rebuilt = build_from_tt(&mut new, &tt, &leaves_new);
-            debug_assert_eq!(rebuilt, cand);
-            map[v as usize] = rebuilt;
+            // Keep the probe: it is the committed replacement.
+            map[v as usize] = cand;
+        } else {
+            new.rollback(cp);
         }
     }
 

@@ -5,10 +5,18 @@
 //! hash of the graph being built. A candidate is accepted if the number of
 //! nodes it adds is smaller than the MFFC it frees (gain > 0), or — for the
 //! `-z` variant — equal (gain = 0, structural perturbation at zero cost).
+//!
+//! Each candidate is built once, as a probe: the nodes it adds are its
+//! cost. A probe that beats the node's best candidate so far is kept in
+//! place; any other is rolled back. Later cuts of the same node are probed
+//! with the kept candidate present, and a kept candidate that a later cut
+//! beats stays behind as dead logic that the final `compact` drops. One
+//! [`Resynth`] serves the whole pass, so covers and Shannon pivots are
+//! derived once per distinct cut function (see [`crate::isop`]).
 
 use crate::aig::{Aig, Lit};
 use crate::cut::{cut_function, CutConfig, CutSet};
-use crate::isop::build_from_tt;
+use crate::isop::Resynth;
 use crate::mffc::mffc_size;
 use std::collections::HashSet;
 
@@ -17,6 +25,7 @@ pub fn rewrite(aig: &Aig, zero_cost: bool) -> Aig {
     let cuts = CutSet::compute(aig, CutConfig { k: 4, max_cuts: 8 });
     let mut refs = aig.fanout_counts();
     let mut new = Aig::new();
+    let mut resynth = Resynth::default();
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
     for i in 0..aig.num_inputs() {
         map[aig.inputs()[i] as usize] = new.add_named_input(aig.input_name(i).to_string());
@@ -35,36 +44,17 @@ pub fn rewrite(aig: &Aig, zero_cost: bool) -> Aig {
             }
             let leaf_set: HashSet<_> = cut.leaves().iter().copied().collect();
             let gain_credit = mffc_size(aig, v, &leaf_set, &mut refs) as isize;
-            if gain_credit <= 1 && !zero_cost {
-                // Best case the candidate costs 1 node (it is a function of
-                // >= 2 leaves), so no strictly positive gain is possible
-                // unless the candidate is fully shared; still worth probing
-                // only when sharing could pay: probe anyway is cheap enough,
-                // but skip the hopeless single-node cones.
-                if gain_credit <= 0 {
-                    continue;
-                }
-            }
             let tt = cut_function(aig, v, cut);
             let leaves_new: Vec<Lit> = cut.leaves().iter().map(|&l| map[l as usize]).collect();
             let cp = new.checkpoint();
-            let cand = build_from_tt(&mut new, &tt, &leaves_new);
-            let added = (new.checkpoint() - cp) as isize;
-            new.rollback(cp);
-            let gain = gain_credit - added;
+            let cand = resynth.build(&mut new, &tt, &leaves_new);
+            let gain = gain_credit - (new.checkpoint() - cp) as isize;
             let acceptable = gain > 0 || (zero_cost && gain == 0 && cand != default);
-            if acceptable {
-                let better = match best {
-                    None => true,
-                    Some((bg, _)) => gain > bg,
-                };
-                if better {
-                    // Rebuild committed; the candidate literal is stable
-                    // because rollback restored the exact construction state.
-                    let rebuilt = build_from_tt(&mut new, &tt, &leaves_new);
-                    debug_assert_eq!(rebuilt, cand);
-                    best = Some((gain, rebuilt));
-                }
+            if acceptable && best.is_none_or(|(best_gain, _)| gain > best_gain) {
+                // Keep the probe: it is the committed candidate.
+                best = Some((gain, cand));
+            } else {
+                new.rollback(cp);
             }
         }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the AIG substrate.
 
 use almost_aig::cut::{cut_function, CutConfig, CutSet};
-use almost_aig::isop::{build_from_tt, isop, Cube};
+use almost_aig::isop::{isop, Cube, Resynth};
 use almost_aig::npn::canonize;
 use almost_aig::passes::{balance, reconvergence_cut};
 use almost_aig::sim::probably_equivalent;
@@ -75,11 +75,11 @@ proptest! {
     }
 
     #[test]
-    fn build_from_tt_realises_function(bits in any::<u16>()) {
+    fn resynth_realises_function(bits in any::<u16>()) {
         let f = Tt::from_u64(4, bits as u64);
         let mut aig = Aig::new();
         let leaves: Vec<Lit> = (0..4).map(|_| aig.add_input()).collect();
-        let root = build_from_tt(&mut aig, &f, &leaves);
+        let root = Resynth::default().build(&mut aig, &f, &leaves);
         aig.add_output(root);
         for idx in 0..16usize {
             let ins: Vec<bool> = (0..4).map(|i| idx >> i & 1 != 0).collect();
