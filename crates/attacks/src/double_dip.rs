@@ -4,7 +4,7 @@
 //! Point-function defences (SARLock, Anti-SAT) survive the classical SAT
 //! attack by making every distinguishing input pattern eliminate only one
 //! wrong key, forcing `2^k` oracle queries. Double DIP refuses to play:
-//! its miter ([`almost_sat::DoubleDipMiter`]) only accepts *2-DIPs* —
+//! its miter ([`almost_sat::KeyMiter::two_dip`]) only accepts *2-DIPs* —
 //! inputs whose oracle answer is guaranteed to kill at least two wrong
 //! keys, because two distinct agreeing keys sit on each side of the
 //! disagreement. One-key-per-input flips can never fill a pair, so the
@@ -17,13 +17,13 @@
 //! conceded, and why the literature pairs Double DIP with removal attacks
 //! to finish the job.
 
+use crate::dip_loop::{DipExit, DipLoop};
 use crate::report::{
     dip_log_consistent, score_oracle_run, AttackTarget, DipIteration, OracleAttackOutcome,
     OracleGuidedAttack,
 };
-use almost_aig::CompiledAig;
 use almost_locking::BatchOracle;
-use almost_sat::double_dip::{DoubleDipMiter, TwoDipSearch};
+use almost_sat::KeyMiter;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Instant;
@@ -38,7 +38,7 @@ pub struct DoubleDipConfig {
     /// with the current candidate (the defence winning on solver effort).
     pub conflict_budget: Option<u64>,
     /// Random pair-agreement probes encoded into the miter (see
-    /// [`almost_sat::DoubleDipMiter::with_probes`]): they force pair
+    /// [`almost_sat::KeyMiter::two_dip`]): they force pair
     /// members to be near-equivalent keys, which keeps the loop killing
     /// wrong *base* keys instead of enumerating point-function flip
     /// cylinders. Structural only — no oracle queries.
@@ -98,106 +98,32 @@ impl DoubleDip {
         let _span = almost_telemetry::span(almost_telemetry::Scope::Attack, || {
             format!("double_dip k={key_len}")
         });
-        let queries_at_start = oracle.queries_served();
         let num_data = locked.num_inputs() - key_len;
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let probes: Vec<Vec<bool>> = (0..self.config.probes)
             .map(|_| (0..num_data).map(|_| rng.random::<bool>()).collect())
             .collect();
-        let mut miter = DoubleDipMiter::with_probes(locked, key_start, key_len, &probes);
-        assert_eq!(
-            miter.num_data_inputs(),
-            oracle.num_inputs(),
-            "oracle arity must match the locked circuit's functional inputs"
+        let miter = KeyMiter::two_dip(locked, key_start, key_len, &probes);
+        let mut dips = DipLoop::new(miter, oracle, started);
+        let exit = dips.iterate(
+            self.config.max_iterations,
+            usize::MAX,
+            self.config.conflict_budget,
         );
-        let mut iterations: Vec<DipIteration> = Vec::new();
-        let mut queries_issued = 0usize;
-        let mut two_dip_settled = false;
-
-        loop {
-            if iterations.len() >= self.config.max_iterations {
-                break;
-            }
-            match miter.find_2dip(self.config.conflict_budget) {
-                TwoDipSearch::Found(x) => {
-                    let y = oracle.query(&x);
-                    queries_issued += 1;
-                    miter.constrain_io(&x, &y);
-                    iterations.push(DipIteration {
-                        dip_count: miter.num_constraints(),
-                        conflicts: miter.solver_stats().conflicts,
-                        oracle_queries: queries_issued,
-                        settlement_mismatches: None,
-                    });
-                }
-                TwoDipSearch::Settled => {
-                    two_dip_settled = true;
-                    break;
-                }
-                TwoDipSearch::OutOfBudget => break,
-            }
-        }
-
-        let recovered = miter.settle_key().unwrap_or_else(|| vec![false; key_len]);
-        let key_sensitive_probes =
-            count_key_sensitive_probes(locked, key_start, key_len, &probes, self.config.seed);
-        let run = DoubleDipRun {
+        let recovered = dips
+            .miter
+            .settle_key()
+            .unwrap_or_else(|| vec![false; key_len]);
+        DoubleDipRun {
             recovered,
-            two_dip_settled,
-            key_sensitive_probes,
-            iterations,
-            oracle_queries: oracle.queries_served() - queries_at_start,
-            runtime: started.elapsed(),
-            solver: miter.solver_stats(),
-            portfolio: miter.portfolio_stats(),
-        };
-        debug_assert_eq!(
-            queries_issued, run.oracle_queries,
-            "attack ledger must match the oracle's served count"
-        );
-        debug_assert!(run.accounting_consistent(), "DIP log reconciliation");
-        run
-    }
-}
-
-/// Counts probes whose outputs vary across 64 random keys, evaluated in
-/// a single word-level sweep of the compiled locked netlist: each probe
-/// occupies one word column with its data bits broadcast, key inputs
-/// carry a random bit per lane, and a probe is key sensitive when some
-/// output word is neither all-zeros nor all-ones.
-fn count_key_sensitive_probes(
-    locked: &almost_aig::Aig,
-    key_start: usize,
-    key_len: usize,
-    probes: &[Vec<bool>],
-    seed: u64,
-) -> usize {
-    if probes.is_empty() {
-        return 0;
-    }
-    // A distinct stream from the probe RNG: the probes themselves must
-    // not move when this diagnostic changes its sampling.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_D1D1_2D2D);
-    let num_words = probes.len();
-    let mut words: Vec<Vec<u64>> = Vec::with_capacity(locked.num_inputs());
-    let mut data_pos = 0usize;
-    for pos in 0..locked.num_inputs() {
-        if pos >= key_start && pos < key_start + key_len {
-            words.push(vec![rng.random::<u64>(); num_words]);
-        } else {
-            words.push(
-                probes
-                    .iter()
-                    .map(|p| (p[data_pos] as u64).wrapping_neg())
-                    .collect(),
-            );
-            data_pos += 1;
+            two_dip_settled: exit == DipExit::Settled,
+            oracle_queries: dips.oracle_queries(),
+            runtime: dips.runtime(),
+            solver: dips.miter.solver_stats(),
+            portfolio: dips.miter.portfolio_stats(),
+            iterations: dips.finish(),
         }
     }
-    let out = CompiledAig::compile(locked).eval_words(&words, num_words);
-    (0..num_words)
-        .filter(|&w| out.iter().any(|o| o[w] != 0 && o[w] != u64::MAX))
-        .count()
 }
 
 /// Raw result of [`DoubleDip::run`] (unscored; no ground truth needed).
@@ -209,14 +135,6 @@ pub struct DoubleDipRun {
     /// True when the 2-DIP miter was proved UNSAT: no input remains whose
     /// answer could eliminate two keys, so the base scheme is resolved.
     pub two_dip_settled: bool,
-    /// How many of the structural pair-agreement probes are *key
-    /// sensitive* — their output actually varies across random keys (one
-    /// word-level sweep of the compiled locked netlist, no oracle
-    /// queries). On a pure point-function lock this is ~0 (each probe
-    /// upsets at most a measure-zero key slice); on RLL-style bases it
-    /// approaches the probe count — a cheap diagnostic for which regime
-    /// the attack is in.
-    pub key_sensitive_probes: usize,
     /// Per-iteration 2-DIP log (each entry consumed one oracle query).
     pub iterations: Vec<DipIteration>,
     /// Oracle queries consumed.
@@ -309,11 +227,6 @@ mod tests {
             run.oracle_queries
         );
         assert_eq!(run.recovered.len(), 8);
-        // RLL key gates sit on live signals: random probes see the key.
-        assert!(
-            run.key_sensitive_probes > 0,
-            "RLL probes must show key sensitivity"
-        );
     }
 
     #[test]
@@ -332,18 +245,9 @@ mod tests {
         assert_eq!(
             oracle.queries_served(),
             0,
-            "the probe diagnostic must not touch the oracle"
+            "probes must not touch the oracle"
         );
         assert!(run.accounting_consistent());
-        // A pure point function flips only when a key lane matches the
-        // probe's 8-bit prefix: each of the 64 lanes hits with
-        // probability 2^-8, so ~22% of probes register — far below the
-        // near-total sensitivity RLL shows above.
-        assert!(
-            run.key_sensitive_probes <= 6,
-            "SARLock probes mostly key-insensitive (got {} of 12)",
-            run.key_sensitive_probes
-        );
     }
 
     #[test]

@@ -20,19 +20,28 @@
 //! The crate also implements the *oracle-guided* threat model the paper's
 //! baselines are measured against in the wider literature:
 //!
-//! - [`SatAttack`] — the HOST'15 SAT attack: a DIP loop over
-//!   key-conditioned miters with an activated-IC oracle, plus an
-//!   AppSAT-style approximate mode with iteration/conflict budgets and
-//!   random-query settlement. It implements [`OracleGuidedAttack`], and
-//!   [`report::render_report`] shows both threat models side by side.
+//! - [`SatAttack`] — the HOST'15 SAT attack: a DIP loop over the
+//!   two-copy key-conditioned miter (`almost_sat::KeyMiter::new`) with an
+//!   activated-IC oracle, plus an AppSAT-style approximate mode with
+//!   iteration/conflict budgets and random-query settlement. It
+//!   implements [`OracleGuidedAttack`], and [`report::render_report`]
+//!   shows both threat models side by side.
 //! - [`DoubleDip`] — the GLSVLSI'17 2-DIP attack that strips
 //!   point-function defences (`almost_locking::SarLock`,
-//!   `almost_locking::AntiSat`): each accepted input is guaranteed to
+//!   `almost_locking::AntiSat`): its four-copy miter
+//!   (`almost_sat::KeyMiter::two_dip`) only accepts inputs guaranteed to
 //!   eliminate at least two wrong keys, so one-key-per-input flips can
 //!   never stall it and the base scheme's key is recovered.
 //!   [`report::render_dip_scaling`] prints the family's defence metric —
 //!   DIPs required versus the `2^k` exhaustion ceiling.
+//!
+//! Both attacks drive the same crate-private DIP loop: query the oracle
+//! on each DIP, constrain every key copy with the answer, log the
+//! iteration, and reconcile the attack's query ledger against the
+//! oracle's served count when the run ends. AppSAT's settlement rounds
+//! are the only mode-specific step.
 
+mod dip_loop;
 pub mod double_dip;
 pub mod omla;
 pub mod redundancy;

@@ -23,13 +23,14 @@
 //! constraints. Every iteration is recorded, so reports can show the DIP
 //! count trajectory.
 
+use crate::dip_loop::{DipExit, DipLoop};
 use crate::report::{
     dip_log_consistent, score_oracle_run, AttackTarget, DipIteration, OracleAttackOutcome,
     OracleGuidedAttack,
 };
 use almost_aig::CompiledAig;
 use almost_locking::BatchOracle;
-use almost_sat::miter::{DipSearch, KeyMiter};
+use almost_sat::KeyMiter;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Instant;
@@ -129,23 +130,10 @@ impl SatAttack {
         let _span = almost_telemetry::span(almost_telemetry::Scope::Attack, || {
             format!("sat_attack k={key_len}")
         });
-        // The oracle may have served other runs; report this run's delta.
-        let queries_at_start = oracle.queries_served();
-        let mut miter = KeyMiter::new(locked, key_start, key_len);
-        assert_eq!(
-            miter.num_data_inputs(),
-            oracle.num_inputs(),
-            "oracle arity must match the locked circuit's functional inputs"
-        );
-        let mut iterations: Vec<DipIteration> = Vec::new();
+        let mut dips = DipLoop::new(KeyMiter::new(locked, key_start, key_len), oracle, started);
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut settlement_rounds_used = 0usize;
-        let mut proved_exact = false;
         let mut settled_candidate: Option<Vec<bool>> = None;
-        // The attack's own oracle-query ledger; reconciled against the
-        // oracle's served count before returning so per-iteration
-        // accounting can never drift from the reported totals.
-        let mut queries_issued = 0usize;
 
         let (conflict_budget, iteration_budget) = match self.config.mode {
             SatAttackMode::Exact => (None, usize::MAX),
@@ -156,115 +144,80 @@ impl SatAttack {
             } => (Some(conflict_budget), iteration_budget),
         };
 
-        'outer: loop {
-            if iterations.len() >= self.config.max_iterations {
-                break;
+        let proved_exact = loop {
+            match dips.iterate(
+                self.config.max_iterations,
+                iteration_budget,
+                conflict_budget,
+            ) {
+                DipExit::Settled => break true,
+                DipExit::IterationCap => break false,
+                DipExit::OutOfBudget => {}
             }
-            let over_iteration_budget = miter.num_constraints() >= iteration_budget;
-            let search = if over_iteration_budget {
-                DipSearch::OutOfBudget
-            } else {
-                miter.find_dip(conflict_budget)
+            // Approximate mode: settle a candidate and validate it with
+            // random queries; disagreements become ordinary I/O
+            // constraints.
+            let SatAttackMode::Approximate {
+                settlement_queries,
+                settlement_rounds,
+                ..
+            } = self.config.mode
+            else {
+                unreachable!("exact mode never runs out of budget")
             };
-            match search {
-                DipSearch::Found(x) => {
-                    let y = oracle.query(&x);
-                    queries_issued += 1;
-                    miter.constrain_io(&x, &y);
-                    iterations.push(DipIteration {
-                        dip_count: miter.num_constraints(),
-                        conflicts: miter.solver_stats().conflicts,
-                        oracle_queries: queries_issued,
-                        settlement_mismatches: None,
-                    });
-                }
-                DipSearch::Settled => {
-                    proved_exact = true;
-                    break;
-                }
-                DipSearch::OutOfBudget => {
-                    // Approximate mode: settle a candidate and validate it
-                    // with random queries; disagreements become ordinary
-                    // I/O constraints.
-                    let (queries, rounds) = match self.config.mode {
-                        SatAttackMode::Approximate {
-                            settlement_queries,
-                            settlement_rounds,
-                            ..
-                        } => (settlement_queries, settlement_rounds),
-                        SatAttackMode::Exact => {
-                            unreachable!("exact mode never runs out of budget")
-                        }
-                    };
-                    settlement_rounds_used += 1;
-                    let candidate = match miter.settle_key() {
-                        Some(k) => k,
-                        None => break, // inconsistent oracle; report as-is
-                    };
-                    // Validate with one batched round of random queries —
-                    // the oracle's batch path answers all of them in a
-                    // handful of word-level sweeps — but cap the number of
-                    // counterexamples re-encoded as constraints: each one
-                    // adds two circuit residues to the solver, and an
-                    // unbounded round can bury it (a half-wrong key fails
-                    // ~half of all queries).
-                    let xs: Vec<Vec<bool>> = (0..queries)
-                        .map(|_| {
-                            (0..miter.num_data_inputs())
-                                .map(|_| rng.random::<bool>())
-                                .collect()
-                        })
-                        .collect();
-                    let ys = oracle.query_batch(&xs);
-                    queries_issued += xs.len();
-                    let got = eval_with_key_batch(locked, key_start, &candidate, &xs);
-                    let mut mismatches = 0usize;
-                    for ((x, y), g) in xs.iter().zip(&ys).zip(&got) {
-                        if g != y {
-                            mismatches += 1;
-                            miter.constrain_io(x, y);
-                            if mismatches >= MAX_SETTLEMENT_CONSTRAINTS {
-                                break;
-                            }
-                        }
-                    }
-                    iterations.push(DipIteration {
-                        dip_count: miter.num_constraints(),
-                        conflicts: miter.solver_stats().conflicts,
-                        oracle_queries: queries_issued,
-                        settlement_mismatches: Some(mismatches),
-                    });
-                    if mismatches == 0 {
-                        settled_candidate = Some(candidate);
-                        break 'outer;
-                    }
-                    if settlement_rounds_used >= rounds {
-                        break 'outer;
+            settlement_rounds_used += 1;
+            let Some(candidate) = dips.miter.settle_key() else {
+                break false; // inconsistent oracle; report as-is
+            };
+            // Validate with one batched round of random queries — the
+            // oracle's batch path answers all of them in a handful of
+            // word-level sweeps — but cap the number of counterexamples
+            // re-encoded as constraints: each one adds two circuit
+            // residues to the solver, and an unbounded round can bury it
+            // (a half-wrong key fails ~half of all queries).
+            let xs: Vec<Vec<bool>> = (0..settlement_queries)
+                .map(|_| {
+                    (0..dips.miter.num_data_inputs())
+                        .map(|_| rng.random::<bool>())
+                        .collect()
+                })
+                .collect();
+            let ys = dips.query_batch(&xs);
+            let got = eval_with_key_batch(locked, key_start, &candidate, &xs);
+            let mut mismatches = 0usize;
+            for ((x, y), g) in xs.iter().zip(&ys).zip(&got) {
+                if g != y {
+                    mismatches += 1;
+                    dips.miter.constrain_io(x, y);
+                    if mismatches >= MAX_SETTLEMENT_CONSTRAINTS {
+                        break;
                     }
                 }
             }
-        }
+            dips.log(Some(mismatches));
+            if mismatches == 0 {
+                settled_candidate = Some(candidate);
+                break false;
+            }
+            if settlement_rounds_used >= settlement_rounds {
+                break false;
+            }
+        };
 
         // A candidate that survived validation is the answer; otherwise
         // settle once against everything learnt so far.
         let recovered = settled_candidate
-            .or_else(|| miter.settle_key())
+            .or_else(|| dips.miter.settle_key())
             .unwrap_or_else(|| vec![false; key_len]);
-        let run = SatAttackRun {
+        SatAttackRun {
             recovered,
             proved_exact,
-            iterations,
-            oracle_queries: oracle.queries_served() - queries_at_start,
-            runtime: started.elapsed(),
-            solver: miter.solver_stats(),
-            portfolio: miter.portfolio_stats(),
-        };
-        debug_assert_eq!(
-            queries_issued, run.oracle_queries,
-            "attack ledger must match the oracle's served count"
-        );
-        debug_assert!(run.accounting_consistent(), "DIP log reconciliation");
-        run
+            oracle_queries: dips.oracle_queries(),
+            runtime: dips.runtime(),
+            solver: dips.miter.solver_stats(),
+            portfolio: dips.miter.portfolio_stats(),
+            iterations: dips.finish(),
+        }
     }
 }
 

@@ -16,9 +16,10 @@
 //! [`solver::SolverStats`] on every attack row.
 //!
 //! [`miter`] builds *key-conditioned* miters over locked circuits, the
-//! substrate of the oracle-guided SAT attack implemented in
-//! `almost-attacks`; [`double_dip`] extends them to the four-copy 2-DIP
-//! miter that defeats point-function defences (SARLock, Anti-SAT).
+//! substrate of the oracle-guided attacks implemented in `almost-attacks`:
+//! [`KeyMiter::new`] is the two-copy DIP miter of the SAT attack and
+//! AppSAT, [`KeyMiter::two_dip`] the four-copy 2-DIP miter of Double DIP,
+//! which defeats point-function defences (SARLock, Anti-SAT).
 //!
 //! # Example
 //!
@@ -35,8 +36,6 @@
 //! ```
 
 pub mod cnf;
-pub mod dimacs;
-pub mod double_dip;
 pub mod equiv;
 pub mod miter;
 
@@ -47,7 +46,6 @@ pub use almost_cdcl::heap;
 pub use almost_cdcl::portfolio;
 pub use almost_cdcl::solver;
 
-pub use double_dip::{DoubleDipMiter, TwoDipSearch};
 pub use equiv::{check_equivalence, check_equivalence_limited, test_stuck_at, Equivalence};
 pub use heap::ActivityHeap;
 pub use miter::{DipSearch, KeyMiter};

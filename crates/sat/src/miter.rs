@@ -12,34 +12,80 @@
 //! UNSAT, *every* key consistent with the accumulated I/O pairs is
 //! functionally correct, and one is extracted with [`KeyMiter::settle_key`].
 //!
-//! [`KeyMiter`] implements the circuit plumbing on the incremental CDCL
-//! solver: the difference clause is guarded by an activation literal so the
-//! same solver answers both the DIP query (assume the guard) and the key
-//! settlement (release it), keeping every learnt clause across iterations.
-//! I/O constraints are added as *input-restricted* circuit copies — the
-//! functional inputs are constant-folded out of the AIG before encoding, so
-//! each iteration only adds the key-dependent cone instead of a full
-//! circuit copy.
+//! # The 2-DIP miter
+//!
+//! A classical DIP eliminates *at least one* wrong key per oracle query —
+//! which is exactly the guarantee point-function defences (SARLock,
+//! Anti-SAT) weaponise: they arrange for every input to incriminate at
+//! most one key, so the DIP loop degenerates into brute-force key
+//! enumeration.
+//!
+//! Double DIP [Shen & Zhou, GLSVLSI'17] asks for a *2-DIP* instead: an
+//! input pattern whose oracle answer is guaranteed to eliminate at least
+//! **two** wrong keys. [`KeyMiter::two_dip`] carries four key copies over
+//! one shared input vector `X` — two agreeing pairs that disagree with
+//! each other:
+//!
+//! ```text
+//! C(X, K1) = C(X, K2),  K1 ≠ K2        (pair A agrees)
+//! C(X, K3) = C(X, K4),  K3 ≠ K4        (pair B agrees)
+//! C(X, K1) ≠ C(X, K3)                  (the pairs disagree at X)
+//! ```
+//!
+//! Whichever pair the oracle contradicts contains two distinct wrong keys,
+//! both killed by the resulting I/O constraint. A SARLock flip is one-hot
+//! in the key — at any input at most one key class errs — so its wrong
+//! keys can never populate a full pair and the 2-DIP loop settles after
+//! resolving only the base scheme, stripping the point function.
+//!
+//! One refinement keeps the loop off the point function's turf: pair
+//! members must additionally agree on a batch of fixed random *probe*
+//! inputs. Without it, the solver can pair a point-residue key with an
+//! unrelated wrong base key that merely coincides at the chosen input,
+//! and the loop degenerates into flip-cylinder enumeration — exactly the
+//! brute force the defence wants. Probes force pair members to be
+//! near-equivalent keys (they may differ only where the probes don't
+//! look, i.e. on measure-`2^-k` flip cylinders), so each accepted query
+//! eliminates an entire wrong *base* key class. Probes are structural:
+//! they never query the oracle.
+//!
+//! # Construction
+//!
+//! Both shapes share one builder: the data variables, the key copies, one
+//! encoding of the locked circuit per copy and a guard literal, in that
+//! order. The guard activates the shape's structural clauses (output
+//! difference, pair agreement, key distinctness, probes): it is assumed
+//! to search a DIP and released to settle a key, so the same incremental
+//! solver answers both queries and keeps every learnt clause across
+//! iterations. I/O constraints are added to every key copy as
+//! *input-restricted* circuit copies — the functional inputs are
+//! constant-folded out of the AIG before encoding, so each iteration only
+//! adds the key-dependent cone instead of a full circuit copy.
 
 use crate::cnf::{encode_with_inputs, encode_xor};
 use crate::portfolio::{PortfolioSolver, PortfolioStats};
 use crate::solver::{SatLit, SatResult, SatVar};
 use almost_aig::{Aig, Lit, NodeKind};
 use std::collections::HashMap;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+
+/// The agreeing key-copy pairs of the 2-DIP miter: (K1, K2) and (K3, K4).
+const PAIRS: [(usize, usize); 2] = [(0, 1), (2, 3)];
 
 /// Outcome of one DIP query.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DipSearch {
-    /// A distinguishing input pattern over the functional inputs (in input
-    /// order, key positions excluded).
+    /// A distinguishing input pattern (a 2-DIP for
+    /// [`KeyMiter::two_dip`]) over the functional inputs, in input order,
+    /// key positions excluded.
     Found(Vec<bool>),
-    /// No DIP exists: all keys consistent with the added I/O constraints
-    /// are functionally equivalent — the attack has converged.
+    /// No DIP exists. For [`KeyMiter::new`], all keys consistent with the
+    /// added I/O constraints are functionally equivalent — the attack has
+    /// converged. For [`KeyMiter::two_dip`], every surviving wrong key
+    /// corrupts only inputs where it is the *only* dissenter — the
+    /// point-function residue — so the base key of a SARLock/Anti-SAT
+    /// overlay is recovered exactly.
     Settled,
-    /// The conflict budget ran out before the query concluded
-    /// (approximate/AppSAT mode only).
+    /// The conflict budget ran out before the query concluded.
     OutOfBudget,
 }
 
@@ -72,21 +118,23 @@ pub enum DipSearch {
 /// ```
 pub struct KeyMiter {
     solver: PortfolioSolver,
+    /// Telemetry label: `"key_miter"` or `"double_dip_miter"`.
+    engine: &'static str,
     locked: Aig,
     key_start: usize,
     key_len: usize,
     x_vars: Vec<SatVar>,
-    key_a: Vec<SatVar>,
-    key_b: Vec<SatVar>,
-    /// Guard literal for the output-difference clause: assumed positive to
+    /// Key copies: `[K1, K2]`, or `[K1, K2, K3, K4]` for the 2-DIP miter.
+    keys: Vec<Vec<SatVar>>,
+    /// Guard literal for the structural clauses: assumed positive to
     /// search DIPs, negative to settle a key.
     act: SatLit,
     num_constraints: usize,
 }
 
 impl KeyMiter {
-    /// Builds the miter for `locked`, whose key inputs occupy input
-    /// positions `key_start .. key_start + key_len` (the
+    /// Builds the two-copy DIP miter for `locked`, whose key inputs occupy
+    /// input positions `key_start .. key_start + key_len` (the
     /// `almost_locking::LockedCircuit` convention).
     ///
     /// # Panics
@@ -94,103 +142,149 @@ impl KeyMiter {
     /// Panics if the key range exceeds the circuit's inputs or the circuit
     /// has no outputs.
     pub fn new(locked: &Aig, key_start: usize, key_len: usize) -> Self {
-        Self::build(locked, key_start, key_len, false)
+        let (mut miter, outputs) = Self::build("key_miter", locked, key_start, key_len, 2);
+        // act → some output pair differs.
+        miter.guard_difference(&outputs[0], &outputs[1]);
+        miter
     }
 
-    /// Like [`KeyMiter::new`], but sweeps the locked circuit with
-    /// [`fraig`](mod@almost_aig::fraig) before encoding. The sweep merges every
-    /// internally equivalent node once, up front — both circuit copies
-    /// (and every later input-restricted I/O copy) then encode the
-    /// reduced network, shrinking the CNF the DIP loop iterates on. The
-    /// interface (input order and names, output order) is preserved, so
-    /// key positions are unaffected.
+    /// Builds the four-copy 2-DIP miter of Double DIP, with pair-agreement
+    /// `probes`: on every probe input the two keys of each pair must
+    /// produce identical outputs. Probes are encoded as constant-folded
+    /// key residues (cheap) and consume no oracle queries; see the
+    /// [module documentation](self) for why they keep the loop from
+    /// enumerating flip cylinders.
     ///
-    /// Opt-in: on netlists with little internal redundancy the sweep is
-    /// pure overhead, and attack-effort comparisons against published
-    /// SAT-attack numbers should keep the plain construction.
+    /// # Example
+    ///
+    /// ```
+    /// use almost_aig::Aig;
+    /// use almost_sat::miter::{DipSearch, KeyMiter};
+    ///
+    /// // f = a ⊕ k: both wrong-key classes err on every input, so a 2-DIP
+    /// // never exists (a pair would need two distinct agreeing keys).
+    /// let mut locked = Aig::new();
+    /// let a = locked.add_input();
+    /// let k = locked.add_named_input("keyinput0");
+    /// let f = locked.xor(a, k);
+    /// locked.add_output(f);
+    /// let mut miter = KeyMiter::two_dip(&locked, 1, 1, &[]);
+    /// assert_eq!(miter.find_dip(None), DipSearch::Settled);
+    /// ```
     ///
     /// # Panics
     ///
-    /// Panics if the key range exceeds the circuit's inputs or the circuit
-    /// has no outputs.
-    pub fn with_fraig_prepass(locked: &Aig, key_start: usize, key_len: usize) -> Self {
-        Self::build(locked, key_start, key_len, true)
+    /// Panics if the key range exceeds the circuit's inputs, the circuit
+    /// has no outputs, or a probe has the wrong arity.
+    pub fn two_dip(locked: &Aig, key_start: usize, key_len: usize, probes: &[Vec<bool>]) -> Self {
+        let (mut miter, outputs) = Self::build("double_dip_miter", locked, key_start, key_len, 4);
+        // act → the copies within each pair agree on every output.
+        for (p, q) in PAIRS {
+            miter.guard_agreement(&outputs[p], &outputs[q]);
+        }
+        // act → the pairs disagree on at least one output.
+        miter.guard_difference(&outputs[0], &outputs[2]);
+        // act → the keys within each pair are bitwise distinct (otherwise
+        // a pair could be one key counted twice and the 2-elimination
+        // guarantee collapses to the classical single-DIP bound).
+        for (p, q) in PAIRS {
+            let [kp, kq] = [p, q].map(|c| {
+                miter.keys[c]
+                    .iter()
+                    .map(|&v| SatLit::positive(v))
+                    .collect::<Vec<_>>()
+            });
+            miter.guard_difference(&kp, &kq);
+        }
+        // act → pair members agree on every probe input (constant-folded
+        // key residues; no oracle involvement).
+        for probe in probes {
+            assert_eq!(probe.len(), miter.x_vars.len(), "probe arity mismatch");
+            let residue = restrict_to_keys(locked, key_start, key_len, probe);
+            for (p, q) in PAIRS {
+                let lp = encode_copy(&mut miter.solver, &residue, &miter.keys[p]);
+                let lq = encode_copy(&mut miter.solver, &residue, &miter.keys[q]);
+                miter.guard_agreement(&lp, &lq);
+            }
+        }
+        miter
     }
 
-    fn build(locked: &Aig, key_start: usize, key_len: usize, fraig: bool) -> Self {
+    /// The shared builder: the data variables, `copies` key copies, one
+    /// encoding of `locked` per copy and the guard literal, in that order.
+    /// Returns the miter and each copy's output literals.
+    fn build(
+        engine: &'static str,
+        locked: &Aig,
+        key_start: usize,
+        key_len: usize,
+        copies: usize,
+    ) -> (Self, Vec<Vec<SatLit>>) {
         assert!(
             key_start + key_len <= locked.num_inputs(),
             "key range out of bounds"
         );
-        let swept;
-        let locked = if fraig {
-            swept = almost_aig::fraig(locked);
-            &swept
-        } else {
-            locked
-        };
         assert!(locked.num_outputs() > 0, "miter needs outputs to compare");
-        let mut solver = PortfolioSolver::new("key_miter");
+        let mut solver = PortfolioSolver::new(engine);
         let num_data = locked.num_inputs() - key_len;
         let x_vars: Vec<SatVar> = (0..num_data).map(|_| solver.new_var()).collect();
-        let key_a: Vec<SatVar> = (0..key_len).map(|_| solver.new_var()).collect();
-        let key_b: Vec<SatVar> = (0..key_len).map(|_| solver.new_var()).collect();
-
-        let inputs_a = splice_inputs(&x_vars, &key_a, key_start);
-        let inputs_b = splice_inputs(&x_vars, &key_b, key_start);
-        let no_overrides = HashMap::new();
-        let cnf_a = encode_with_inputs(&mut solver, locked, &inputs_a, &no_overrides);
-        let cnf_b = encode_with_inputs(&mut solver, locked, &inputs_b, &no_overrides);
-
-        // Difference clause, guarded: act → (some output pair differs).
+        let keys: Vec<Vec<SatVar>> = (0..copies)
+            .map(|_| (0..key_len).map(|_| solver.new_var()).collect())
+            .collect();
+        let outputs: Vec<Vec<SatLit>> = keys
+            .iter()
+            .map(|key_vars| {
+                let inputs = splice_inputs(&x_vars, key_vars, key_start);
+                encode_copy(&mut solver, locked, &inputs)
+            })
+            .collect();
         let act = SatLit::positive(solver.new_var());
-        let mut clause: Vec<SatLit> = vec![!act];
-        for (&la, &lb) in cnf_a.output_lits.iter().zip(&cnf_b.output_lits) {
-            clause.push(encode_xor(&mut solver, la, lb));
-        }
-        solver.add_clause(&clause);
-
-        KeyMiter {
+        let miter = KeyMiter {
             solver,
+            engine,
             locked: locked.clone(),
             key_start,
             key_len,
             x_vars,
-            key_a,
-            key_b,
+            keys,
             act,
             num_constraints: 0,
+        };
+        (miter, outputs)
+    }
+
+    /// Guarded difference: act → `a[i] ≠ b[i]` for some `i`.
+    fn guard_difference(&mut self, a: &[SatLit], b: &[SatLit]) {
+        let mut clause: Vec<SatLit> = vec![!self.act];
+        for (&la, &lb) in a.iter().zip(b) {
+            clause.push(encode_xor(&mut self.solver, la, lb));
+        }
+        self.solver.add_clause(&clause);
+    }
+
+    /// Guarded agreement: act → `a[i] = b[i]` for every `i`.
+    fn guard_agreement(&mut self, a: &[SatLit], b: &[SatLit]) {
+        for (&la, &lb) in a.iter().zip(b) {
+            self.solver.add_clause(&[!self.act, !la, lb]);
+            self.solver.add_clause(&[!self.act, la, !lb]);
         }
     }
 
-    /// Searches for a distinguishing input pattern.
+    /// Searches for a distinguishing input pattern (a 2-DIP for
+    /// [`KeyMiter::two_dip`]).
     ///
     /// With `max_conflicts = None` the query runs to completion; with a
     /// budget it may return [`DipSearch::OutOfBudget`].
     pub fn find_dip(&mut self, max_conflicts: Option<u64>) -> DipSearch {
-        match self.solver.try_solve(&[self.act], max_conflicts) {
-            Err(interrupt) => {
-                let budget = max_conflicts.unwrap_or(0);
-                almost_telemetry::trace(|| almost_telemetry::EventKind::BudgetExhausted {
-                    engine: "key_miter",
-                    budget,
-                    conflicts: self.solver.stats().conflicts,
-                    cause: interrupt.cause(),
-                });
-                DipSearch::OutOfBudget
-            }
-            Ok(SatResult::Unsat) => DipSearch::Settled,
-            Ok(SatResult::Sat) => DipSearch::Found(
-                self.x_vars
-                    .iter()
-                    .map(|&v| self.solver.value(v).unwrap_or(false))
-                    .collect(),
-            ),
+        match self.solve(self.act, max_conflicts) {
+            None => DipSearch::OutOfBudget,
+            Some(SatResult::Unsat) => DipSearch::Settled,
+            Some(SatResult::Sat) => DipSearch::Found(self.model(&self.x_vars)),
         }
     }
 
     /// Adds the oracle response `outputs = C*(inputs)` as a constraint on
-    /// both key copies.
+    /// every key copy.
     ///
     /// The locked circuit is first specialised to the constant `inputs`
     /// (constant propagation through AIG construction), so only the
@@ -208,44 +302,54 @@ impl KeyMiter {
             "output arity mismatch"
         );
         let residue = restrict_to_keys(&self.locked, self.key_start, self.key_len, inputs);
-        let no_overrides = HashMap::new();
-        for key_vars in [self.key_a.clone(), self.key_b.clone()] {
-            let cnf = encode_with_inputs(&mut self.solver, &residue, &key_vars, &no_overrides);
-            for (&lit, &want) in cnf.output_lits.iter().zip(outputs) {
+        for key_vars in &self.keys {
+            for (lit, &want) in encode_copy(&mut self.solver, &residue, key_vars)
+                .into_iter()
+                .zip(outputs)
+            {
                 self.solver.add_clause(&[if want { lit } else { !lit }]);
             }
         }
         self.num_constraints += 1;
     }
 
-    /// Extracts a key consistent with every added I/O constraint (the
-    /// correct key once [`DipSearch::Settled`] has been observed; the best
-    /// current candidate in approximate mode).
+    /// Extracts a key consistent with every added I/O constraint: the
+    /// correct key once [`DipSearch::Settled`] has been observed on the
+    /// two-copy miter, the base key up to one-key flips on the 2-DIP
+    /// miter, and the best current candidate after a budgeted stop.
     ///
     /// Returns `None` only if the constraints are contradictory, which
     /// indicates an inconsistent oracle.
     pub fn settle_key(&mut self) -> Option<Vec<bool>> {
-        match self.solver.try_solve(&[!self.act], None) {
+        match self.solve(!self.act, None) {
+            Some(SatResult::Sat) => Some(self.model(&self.keys[0])),
+            Some(SatResult::Unsat) | None => None,
+        }
+    }
+
+    /// One solver query under the guard assumption `guard`. An interrupted
+    /// query is reported to telemetry as a budget exhaustion and yields
+    /// `None`.
+    fn solve(&mut self, guard: SatLit, max_conflicts: Option<u64>) -> Option<SatResult> {
+        match self.solver.try_solve(&[guard], max_conflicts) {
+            Ok(result) => Some(result),
             Err(interrupt) => {
-                // Only an external cancellation can interrupt an
-                // unlimited query; report it like a budget exhaustion and
-                // yield no key.
                 almost_telemetry::trace(|| almost_telemetry::EventKind::BudgetExhausted {
-                    engine: "key_miter",
-                    budget: 0,
+                    engine: self.engine,
+                    budget: max_conflicts.unwrap_or(0),
                     conflicts: self.solver.stats().conflicts,
                     cause: interrupt.cause(),
                 });
                 None
             }
-            Ok(SatResult::Unsat) => None,
-            Ok(SatResult::Sat) => Some(
-                self.key_a
-                    .iter()
-                    .map(|&v| self.solver.value(v).unwrap_or(false))
-                    .collect(),
-            ),
         }
+    }
+
+    /// The current model's values of `vars`.
+    fn model(&self, vars: &[SatVar]) -> Vec<bool> {
+        vars.iter()
+            .map(|&v| self.solver.value(v).unwrap_or(false))
+            .collect()
     }
 
     /// Number of I/O constraints added so far (= oracle queries consumed).
@@ -258,52 +362,40 @@ impl KeyMiter {
         self.x_vars.len()
     }
 
-    /// Key width.
-    pub fn key_len(&self) -> usize {
-        self.key_len
-    }
-
     /// Cumulative solver-effort statistics.
     pub fn solver_stats(&self) -> crate::solver::SolverStats {
         self.solver.stats()
-    }
-
-    /// Solver size: (variables, clauses).
-    pub fn solver_size(&self) -> (usize, usize) {
-        (self.solver.num_vars(), self.solver.num_clauses())
     }
 
     /// Cumulative portfolio counters (races, wins, exchange volume).
     pub fn portfolio_stats(&self) -> PortfolioStats {
         self.solver.portfolio_stats()
     }
-
-    /// Installs an external cancellation flag: raising it makes every
-    /// subsequent query return [`DipSearch::OutOfBudget`] (reported with
-    /// `cause: "cancelled"` in telemetry).
-    pub fn set_stop_flag(&mut self, flag: Arc<AtomicBool>) {
-        self.solver.set_stop_flag(flag);
-    }
 }
 
 impl std::fmt::Debug for KeyMiter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (vars, clauses) = self.solver_size();
         write!(
             f,
-            "KeyMiter {{ key_len: {}, constraints: {}, vars: {vars}, clauses: {clauses} }}",
-            self.key_len, self.num_constraints
+            "KeyMiter {{ key_len: {}, key_copies: {}, constraints: {}, vars: {}, clauses: {} }}",
+            self.key_len,
+            self.keys.len(),
+            self.num_constraints,
+            self.solver.num_vars(),
+            self.solver.num_clauses()
         )
     }
 }
 
+/// Encodes `aig` over the given input variables and returns its output
+/// literals.
+fn encode_copy(solver: &mut PortfolioSolver, aig: &Aig, inputs: &[SatVar]) -> Vec<SatLit> {
+    encode_with_inputs(solver, aig, inputs, &HashMap::new()).output_lits
+}
+
 /// Interleaves shared data variables and per-copy key variables into the
 /// locked circuit's input order.
-pub(crate) fn splice_inputs(
-    x_vars: &[SatVar],
-    key_vars: &[SatVar],
-    key_start: usize,
-) -> Vec<SatVar> {
+fn splice_inputs(x_vars: &[SatVar], key_vars: &[SatVar], key_start: usize) -> Vec<SatVar> {
     let mut inputs = Vec::with_capacity(x_vars.len() + key_vars.len());
     inputs.extend_from_slice(&x_vars[..key_start]);
     inputs.extend_from_slice(key_vars);
@@ -313,12 +405,7 @@ pub(crate) fn splice_inputs(
 
 /// Specialises `locked` under constant functional inputs, leaving exactly
 /// the key inputs (in order) as the inputs of the returned AIG.
-pub(crate) fn restrict_to_keys(
-    locked: &Aig,
-    key_start: usize,
-    key_len: usize,
-    data: &[bool],
-) -> Aig {
+fn restrict_to_keys(locked: &Aig, key_start: usize, key_len: usize, data: &[bool]) -> Aig {
     let mut new = Aig::new();
     let mut map: Vec<Lit> = vec![Lit::FALSE; locked.num_nodes()];
     let mut data_iter = data.iter();
@@ -396,85 +483,11 @@ mod tests {
         miter.settle_key().expect("oracle-consistent constraints")
     }
 
-    fn unlock(locked: &Aig, key_start: usize, key: &[bool]) -> Aig {
-        // Local key specialisation (the locking crate is not a dependency).
-        let mut new = Aig::new();
-        let mut map: Vec<Lit> = vec![Lit::FALSE; locked.num_nodes()];
-        for i in 0..locked.num_inputs() {
-            let var = locked.inputs()[i];
-            map[var as usize] = if (key_start..key_start + key.len()).contains(&i) {
-                if key[i - key_start] {
-                    Lit::TRUE
-                } else {
-                    Lit::FALSE
-                }
-            } else {
-                new.add_input()
-            };
-        }
-        for v in locked.iter_vars() {
-            if let NodeKind::And(a, b) = locked.node(v) {
-                let fa = map[a.var() as usize].xor_complement(a.is_complement());
-                let fb = map[b.var() as usize].xor_complement(b.is_complement());
-                map[v as usize] = new.and(fa, fb);
-            }
-        }
-        for out in locked.outputs() {
-            let lit = map[out.var() as usize].xor_complement(out.is_complement());
-            new.add_output(lit);
-        }
-        new
-    }
-
     #[test]
     fn dip_loop_recovers_the_exact_key() {
         let (plain, locked) = two_bit_locked();
         let key = run_dip_loop(&plain, &locked, 2, 2);
         assert_eq!(key, vec![false, true]);
-    }
-
-    #[test]
-    fn recovered_key_is_functionally_correct() {
-        let (plain, locked) = two_bit_locked();
-        let key = run_dip_loop(&plain, &locked, 2, 2);
-        let restored = unlock(&locked, 2, &key);
-        assert_eq!(
-            crate::equiv::check_equivalence(&plain, &restored),
-            crate::equiv::Equivalence::Equivalent
-        );
-    }
-
-    #[test]
-    fn fraig_prepass_recovers_the_same_key() {
-        // Pad the locked circuit with redundant structure the sweep can
-        // merge; the pre-passed miter must still recover the exact key.
-        let (plain, mut locked) = two_bit_locked();
-        let a = Lit::positive(locked.inputs()[0]);
-        let b = Lit::positive(locked.inputs()[1]);
-        let ab = locked.and(a, b);
-        let u = locked.or(b, ab); // ≡ b (absorption)
-        let redundant = locked.and(a, u); // ≡ a ∧ b, duplicated cone
-        let y = locked.outputs()[0];
-        let t = locked.and(y, redundant);
-        let s = locked.and(y, !redundant);
-        let y2 = locked.or(s, t); // (y ∧ r) ∨ (y ∧ ¬r) ≡ y
-        locked.set_output(0, y2);
-
-        let mut miter = KeyMiter::with_fraig_prepass(&locked, 2, 2);
-        let mut iterations = 0;
-        loop {
-            match miter.find_dip(None) {
-                DipSearch::Found(x) => {
-                    let y = plain.eval(&x);
-                    miter.constrain_io(&x, &y);
-                }
-                DipSearch::Settled => break,
-                DipSearch::OutOfBudget => unreachable!("no budget was set"),
-            }
-            iterations += 1;
-            assert!(iterations <= 64, "DIP loop diverged");
-        }
-        assert_eq!(miter.settle_key(), Some(vec![false, true]));
     }
 
     #[test]
@@ -543,5 +556,94 @@ mod tests {
         assert_eq!(residue.eval(&[false, true]), vec![false, true]);
         assert_eq!(residue.eval(&[true, false]), vec![true, false]);
         assert!(residue.num_ands() <= locked.num_ands());
+    }
+
+    /// A 2-bit toy where wrong keys come in agreeing groups: f = a ⊕ (k₀ ∧
+    /// k₁). Correct keys {00, 01, 10} all yield f = a; key 11 yields ¬a.
+    fn group_locked() -> Aig {
+        let mut locked = Aig::new();
+        let a = locked.add_input();
+        let k0 = locked.add_named_input("keyinput0");
+        let k1 = locked.add_named_input("keyinput1");
+        let t = locked.and(k0, k1);
+        let f = locked.xor(a, t);
+        locked.add_output(f);
+        locked
+    }
+
+    #[test]
+    fn two_dip_exists_when_two_keys_err_together() {
+        // Pair A = two of {00, 01, 10}, pair B needs two distinct agreeing
+        // keys too — but the dissenting class {11} is a single key, so no
+        // 2-DIP exists even though a classical DIP does.
+        let mut miter = KeyMiter::two_dip(&group_locked(), 1, 2, &[]);
+        assert_eq!(miter.find_dip(None), DipSearch::Settled);
+
+        // Widen the dissenting class to two keys: f = a ⊕ k₀ makes {1x}
+        // a two-key agreeing wrong class. Now a 2-DIP must exist.
+        let mut locked = Aig::new();
+        let a = locked.add_input();
+        let k0 = locked.add_named_input("keyinput0");
+        let _k1 = locked.add_named_input("keyinput1");
+        let f = locked.xor(a, k0);
+        locked.add_output(f);
+        let mut miter = KeyMiter::two_dip(&locked, 1, 2, &[]);
+        match miter.find_dip(None) {
+            DipSearch::Found(x) => {
+                // Oracle: correct key has k₀ = 0, so y = a.
+                miter.constrain_io(&x, &x);
+            }
+            other => panic!("a 2-DIP must exist, got {other:?}"),
+        }
+        assert_eq!(miter.find_dip(None), DipSearch::Settled);
+        let key = miter.settle_key().expect("consistent");
+        assert!(!key[0], "k₀ = 0 is pinned by the 2-DIP constraint");
+    }
+
+    #[test]
+    fn two_dip_settled_key_is_consistent_with_constraints() {
+        let locked = group_locked();
+        let mut miter = KeyMiter::two_dip(&locked, 1, 2, &[]);
+        // Constrain with the correct oracle (f = a) on both input values.
+        miter.constrain_io(&[false], &[false]);
+        miter.constrain_io(&[true], &[true]);
+        let key = miter.settle_key().expect("consistent");
+        assert!(!(key[0] && key[1]), "key 11 contradicts the constraints");
+        assert_eq!(miter.num_constraints(), 2);
+    }
+
+    #[test]
+    fn two_dip_inconsistent_oracle_is_detected() {
+        let locked = group_locked();
+        let mut miter = KeyMiter::two_dip(&locked, 1, 2, &[]);
+        miter.constrain_io(&[true], &[true]);
+        miter.constrain_io(&[true], &[false]);
+        assert_eq!(miter.settle_key(), None);
+    }
+
+    #[test]
+    fn two_dip_budgeted_search_reports_exhaustion_without_corruption() {
+        let mut locked = Aig::new();
+        let a = locked.add_input();
+        let k0 = locked.add_named_input("keyinput0");
+        let _k1 = locked.add_named_input("keyinput1");
+        let f = locked.xor(a, k0);
+        locked.add_output(f);
+        let mut miter = KeyMiter::two_dip(&locked, 1, 2, &[]);
+        let mut iterations = 0;
+        loop {
+            match miter.find_dip(Some(1)) {
+                DipSearch::Found(x) => miter.constrain_io(&x, &x),
+                DipSearch::Settled => break,
+                DipSearch::OutOfBudget => match miter.find_dip(None) {
+                    DipSearch::Found(x) => miter.constrain_io(&x, &x),
+                    DipSearch::Settled => break,
+                    DipSearch::OutOfBudget => unreachable!("unlimited retry"),
+                },
+            }
+            iterations += 1;
+            assert!(iterations <= 16, "2-DIP loop diverged");
+        }
+        assert!(miter.settle_key().is_some());
     }
 }
