@@ -8,7 +8,6 @@
 use crate::report::{dip_log_consistent, DipIteration};
 use almost_locking::BatchOracle;
 use almost_sat::miter::{DipSearch, KeyMiter};
-use std::time::Instant;
 
 /// Why [`DipLoop::iterate`] returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,7 +25,6 @@ pub(crate) enum DipExit {
 pub(crate) struct DipLoop<'o> {
     pub(crate) miter: KeyMiter,
     oracle: &'o dyn BatchOracle,
-    started: Instant,
     /// The oracle may have served other runs; report this run's delta.
     queries_at_start: usize,
     /// The attack's own oracle-query ledger.
@@ -35,13 +33,13 @@ pub(crate) struct DipLoop<'o> {
 }
 
 impl<'o> DipLoop<'o> {
-    /// Starts a loop over `miter`; `started` is the run's start time.
+    /// Starts a loop over `miter`.
     ///
     /// # Panics
     ///
     /// Panics if the oracle's arity differs from the miter's functional
     /// inputs.
-    pub(crate) fn new(miter: KeyMiter, oracle: &'o dyn BatchOracle, started: Instant) -> Self {
+    pub(crate) fn new(miter: KeyMiter, oracle: &'o dyn BatchOracle) -> Self {
         assert_eq!(
             miter.num_data_inputs(),
             oracle.num_inputs(),
@@ -50,7 +48,6 @@ impl<'o> DipLoop<'o> {
         DipLoop {
             miter,
             oracle,
-            started,
             queries_at_start: oracle.queries_served(),
             queries_issued: 0,
             iterations: Vec::new(),
@@ -106,11 +103,6 @@ impl<'o> DipLoop<'o> {
     /// Oracle queries this run consumed, by the oracle's count.
     pub(crate) fn oracle_queries(&self) -> usize {
         self.oracle.queries_served() - self.queries_at_start
-    }
-
-    /// Wall-clock time since the run started.
-    pub(crate) fn runtime(&self) -> std::time::Duration {
-        self.started.elapsed()
     }
 
     /// Closes the loop and returns its iteration log, after checking (in

@@ -104,7 +104,7 @@ impl DoubleDip {
             .map(|_| (0..num_data).map(|_| rng.random::<bool>()).collect())
             .collect();
         let miter = KeyMiter::two_dip(locked, key_start, key_len, &probes);
-        let mut dips = DipLoop::new(miter, oracle, started);
+        let mut dips = DipLoop::new(miter, oracle);
         let exit = dips.iterate(
             self.config.max_iterations,
             usize::MAX,
@@ -118,7 +118,7 @@ impl DoubleDip {
             recovered,
             two_dip_settled: exit == DipExit::Settled,
             oracle_queries: dips.oracle_queries(),
-            runtime: dips.runtime(),
+            runtime: started.elapsed(),
             solver: dips.miter.solver_stats(),
             portfolio: dips.miter.portfolio_stats(),
             iterations: dips.finish(),

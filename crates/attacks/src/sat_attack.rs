@@ -130,7 +130,7 @@ impl SatAttack {
         let _span = almost_telemetry::span(almost_telemetry::Scope::Attack, || {
             format!("sat_attack k={key_len}")
         });
-        let mut dips = DipLoop::new(KeyMiter::new(locked, key_start, key_len), oracle, started);
+        let mut dips = DipLoop::new(KeyMiter::new(locked, key_start, key_len), oracle);
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut settlement_rounds_used = 0usize;
         let mut settled_candidate: Option<Vec<bool>> = None;
@@ -213,7 +213,7 @@ impl SatAttack {
             recovered,
             proved_exact,
             oracle_queries: dips.oracle_queries(),
-            runtime: dips.runtime(),
+            runtime: started.elapsed(),
             solver: dips.miter.solver_stats(),
             portfolio: dips.miter.portfolio_stats(),
             iterations: dips.finish(),

@@ -483,11 +483,52 @@ mod tests {
         miter.settle_key().expect("oracle-consistent constraints")
     }
 
+    fn unlock(locked: &Aig, key_start: usize, key: &[bool]) -> Aig {
+        // Local key specialisation (the locking crate is not a dependency).
+        let mut new = Aig::new();
+        let mut map: Vec<Lit> = vec![Lit::FALSE; locked.num_nodes()];
+        for i in 0..locked.num_inputs() {
+            let var = locked.inputs()[i];
+            map[var as usize] = if (key_start..key_start + key.len()).contains(&i) {
+                if key[i - key_start] {
+                    Lit::TRUE
+                } else {
+                    Lit::FALSE
+                }
+            } else {
+                new.add_input()
+            };
+        }
+        for v in locked.iter_vars() {
+            if let NodeKind::And(a, b) = locked.node(v) {
+                let fa = map[a.var() as usize].xor_complement(a.is_complement());
+                let fb = map[b.var() as usize].xor_complement(b.is_complement());
+                map[v as usize] = new.and(fa, fb);
+            }
+        }
+        for out in locked.outputs() {
+            let lit = map[out.var() as usize].xor_complement(out.is_complement());
+            new.add_output(lit);
+        }
+        new
+    }
+
     #[test]
     fn dip_loop_recovers_the_exact_key() {
         let (plain, locked) = two_bit_locked();
         let key = run_dip_loop(&plain, &locked, 2, 2);
         assert_eq!(key, vec![false, true]);
+    }
+
+    #[test]
+    fn recovered_key_is_functionally_correct() {
+        let (plain, locked) = two_bit_locked();
+        let key = run_dip_loop(&plain, &locked, 2, 2);
+        let restored = unlock(&locked, 2, &key);
+        assert_eq!(
+            crate::equiv::check_equivalence(&plain, &restored),
+            crate::equiv::Equivalence::Equivalent
+        );
     }
 
     #[test]
