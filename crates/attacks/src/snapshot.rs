@@ -87,8 +87,7 @@ impl SnapshotModel {
         let b1 = self.l1.bind(tape);
         let b2 = self.l2.bind(tape);
         let xn = tape.leaf(x.clone());
-        let h = Linear::forward(b1, tape, xn);
-        let h = tape.relu(h);
+        let h = Linear::forward_relu(b1, tape, xn);
         Linear::forward(b2, tape, h)
     }
 
@@ -151,8 +150,7 @@ impl Snapshot {
                 for &i in chunk {
                     let (x, y) = &flat[i];
                     let xn = tape.leaf(x.clone());
-                    let h = Linear::forward(b1, &mut tape, xn);
-                    let h = tape.relu(h);
+                    let h = Linear::forward_relu(b1, &mut tape, xn);
                     let logit = Linear::forward(b2, &mut tape, h);
                     losses.push(tape.bce_with_logits(logit, *y));
                 }

@@ -162,7 +162,8 @@ impl GinClassifier {
     /// Forward pass over a batch of graphs, producing a `graphs.len()` × 1
     /// logit column. The graphs are fused into one block-diagonal union:
     /// one [`Tape::spmm`] per GIN round for the whole batch (O(E·d), not
-    /// the dense O(n²·d)), batch-wide MLP matmuls, segment-mean readout.
+    /// the dense O(n²·d)), batch-wide fused dense layers
+    /// ([`Tape::dense`]), segment-mean readout.
     ///
     /// Every op involved treats rows independently — spmm rows only reach
     /// within their own diagonal block, the MLPs are row-wise, and pooling
@@ -188,15 +189,12 @@ impl GinClassifier {
         let mut h = tape.leaf_concat_rows(&feats);
         for (b1, b2) in &bound.convs {
             let agg = tape.spmm(&union, h);
-            let z1 = Linear::forward(*b1, tape, agg);
-            let a1 = tape.relu(z1);
-            let z2 = Linear::forward(*b2, tape, a1);
-            h = tape.relu(z2);
+            let a1 = Linear::forward_relu(*b1, tape, agg);
+            h = Linear::forward_relu(*b2, tape, a1);
         }
         let seg_lens: Vec<u32> = graphs.iter().map(|g| g.num_nodes() as u32).collect();
         let pooled = tape.segment_mean_rows(h, &seg_lens);
-        let r = Linear::forward(bound.readout, tape, pooled);
-        let r = tape.relu(r);
+        let r = Linear::forward_relu(bound.readout, tape, pooled);
         Linear::forward(bound.head, tape, r)
     }
 

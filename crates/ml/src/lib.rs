@@ -9,11 +9,14 @@
 //! ≤ 2, so `Â = A + I` carries ~3 entries per row):
 //!
 //! - [`tensor::Matrix`] / [`tensor::SparseMatrix`] — dense row-major
-//!   `f32` matrices (He init included) and CSR adjacency operators whose
-//!   `spmm` aggregates neighbourhoods in O(E·d) instead of O(n²·d),
-//!   bit-identically to the dense product.
+//!   `f32` matrices (He init included, products through one
+//!   register-tiled kernel that is bit-identical to the plain triple
+//!   loop) and CSR adjacency operators whose `spmm` aggregates
+//!   neighbourhoods in O(E·d) instead of O(n²·d), bit-identically to the
+//!   dense product.
 //! - [`tape::Tape`] — reverse-mode autodiff over exactly the ops a GIN
-//!   classifier needs, with in-place gradient accumulation and a
+//!   classifier needs (a dense layer is one fused node), with in-place
+//!   gradient accumulation, no gradient work for constant inputs, and a
 //!   recycled-buffer workspace (allocation-free once warm); every
 //!   gradient is finite-difference checked in tests.
 //! - [`gin::GinClassifier`] — GIN message passing + mean-pool readout +

@@ -40,10 +40,15 @@ impl Linear {
         }
     }
 
-    /// Applies the bound layer to `x` (n × in), yielding n × out.
+    /// Applies the bound layer to `x` (n × in), yielding n × out — one
+    /// fused [`Tape::dense`] node.
     pub fn forward(bound: BoundLinear, tape: &mut Tape, x: NodeId) -> NodeId {
-        let xw = tape.matmul(x, bound.w);
-        tape.add_row_broadcast(xw, bound.b)
+        tape.dense(x, bound.w, bound.b, false)
+    }
+
+    /// [`Linear::forward`] followed by a ReLU, fused into the same node.
+    pub fn forward_relu(bound: BoundLinear, tape: &mut Tape, x: NodeId) -> NodeId {
+        tape.dense(x, bound.w, bound.b, true)
     }
 
     /// Input dimension.
@@ -71,6 +76,9 @@ mod tests {
         let x = tape.leaf(Matrix::from_rows(&[&[3.0, 4.0]]));
         let y = Linear::forward(bound, &mut tape, x);
         assert_eq!(tape.value(y), &Matrix::from_rows(&[&[3.5, 7.5]]));
+        let neg = tape.leaf(Matrix::from_rows(&[&[-3.0, 4.0]]));
+        let r = Linear::forward_relu(bound, &mut tape, neg);
+        assert_eq!(tape.value(r), &Matrix::from_rows(&[&[0.0, 7.5]]));
     }
 
     #[test]

@@ -71,13 +71,13 @@ impl Adam {
             .zip(self.m.iter_mut().zip(self.v.iter_mut()))
         {
             assert_eq!((p.rows(), p.cols()), (g.rows(), g.cols()), "shape mismatch");
-            for i in 0..p.data().len() {
-                let gi = g.data()[i];
-                m.data_mut()[i] = self.beta1 * m.data()[i] + (1.0 - self.beta1) * gi;
-                v.data_mut()[i] = self.beta2 * v.data()[i] + (1.0 - self.beta2) * gi * gi;
-                let mh = m.data()[i] / b1t;
-                let vh = v.data()[i] / b2t;
-                p.data_mut()[i] -= self.lr * mh / (vh.sqrt() + self.eps);
+            let moments = m.data_mut().iter_mut().zip(v.data_mut());
+            for ((pi, &gi), (mi, vi)) in p.data_mut().iter_mut().zip(g.data()).zip(moments) {
+                *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
+                *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
+                let mh = *mi / b1t;
+                let vh = *vi / b2t;
+                *pi -= self.lr * mh / (vh.sqrt() + self.eps);
             }
         }
     }

@@ -20,8 +20,15 @@
 //! - Gradients accumulate **in place**: each backward rule adds its
 //!   contribution directly into the operand's (lazily zero-initialised)
 //!   gradient slot through the accumulating kernels of
-//!   [`crate::tensor`], never materialising an intermediate gradient
-//!   matrix (not even the transposes of the matmul rule).
+//!   [`crate::tensor`]. The only scratch matrices are the transposed
+//!   right operand of an input-gradient product and the fused dense
+//!   rule's pre-activation gradient, both in recycled buffers.
+//! - A dense layer is one node ([`Tape::dense`]: product, bias, optional
+//!   ReLU), so its backward forms the pre-activation gradient once and
+//!   runs the two tiled products from it.
+//! - Only nodes a parameter leaf reaches carry gradients: constant
+//!   inputs ([`Tape::leaf_concat_rows`]) and everything computed from
+//!   them alone are skipped, as is any product operand that needs none.
 //! - [`Tape::reset`] recycles every value and gradient buffer into a
 //!   spare-buffer pool that the next recording draws from, so a tape
 //!   reused across minibatches stops allocating entirely after warm-up.
@@ -43,8 +50,14 @@ enum Op {
     /// is ever materialised.
     Spmm(Arc<SparseMatrix>, NodeId),
     Add(NodeId, NodeId),
-    AddRowBroadcast(NodeId, NodeId),
-    Relu(NodeId),
+    /// Fused dense layer `x × w + b` (bias row broadcast), rectified when
+    /// `relu` is set.
+    Dense {
+        x: NodeId,
+        w: NodeId,
+        b: NodeId,
+        relu: bool,
+    },
     MeanRows(NodeId),
     /// Per-segment row mean: row `b` of the output is the mean of the
     /// input rows in segment `b` (consecutive; lengths stored). The
@@ -93,6 +106,10 @@ pub struct Tape {
     ops: Vec<Op>,
     values: Vec<Matrix>,
     grads: Vec<Option<Matrix>>,
+    /// Per node: does a parameter leaf reach it? Constant inputs
+    /// ([`Tape::leaf_concat_rows`]) and everything computed from them
+    /// alone carry no gradient, so `backward` skips them.
+    needs_grad: Vec<bool>,
     /// Recycled flat buffers, refilled by [`Tape::reset`].
     spare: Vec<Vec<f32>>,
     stats: TapeStats,
@@ -132,6 +149,38 @@ fn grad_slot<'a>(
     slot.get_or_insert_with(|| alloc_zeroed(spare, stats, rows, cols))
 }
 
+/// Pops a cleared spare buffer (capacity kept, length 0), or allocates
+/// one, for writers that fill every entry — no zero-fill double-touch.
+fn take_spare(spare: &mut Vec<Vec<f32>>, stats: &mut TapeStats) -> Vec<f32> {
+    match spare.pop() {
+        Some(mut buf) => {
+            buf.clear();
+            buf
+        }
+        None => {
+            stats.fresh_buffers += 1;
+            Vec::new()
+        }
+    }
+}
+
+/// `out += g × bᵀ`, the input-gradient product. `b` is transposed into a
+/// recycled scratch buffer so the product runs the tiled kernel; the
+/// O(k·n) transpose is small next to the O(m·k·n) product.
+fn matmul_bt_acc(
+    g: &Matrix,
+    b: &Matrix,
+    out: &mut Matrix,
+    spare: &mut Vec<Vec<f32>>,
+    stats: &mut TapeStats,
+) {
+    let mut buf = take_spare(spare, stats);
+    b.transpose_extend(&mut buf);
+    let bt = Matrix::from_vec(b.cols(), b.rows(), buf);
+    g.matmul_acc_into(&bt, out);
+    spare.push(bt.into_data());
+}
+
 impl Tape {
     /// An empty tape.
     pub fn new() -> Self {
@@ -142,6 +191,7 @@ impl Tape {
     /// are returned to the spare pool for the next recording to reuse.
     pub fn reset(&mut self) {
         self.ops.clear();
+        self.needs_grad.clear();
         for m in self.values.drain(..) {
             self.spare.push(m.into_data());
         }
@@ -156,9 +206,27 @@ impl Tape {
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> NodeId {
+        let needs_grad = match &op {
+            Op::Leaf => true,
+            Op::MatMul(a, b) | Op::Add(a, b) => self.needs_grad[*a] || self.needs_grad[*b],
+            Op::Dense { x, w, b, .. } => {
+                self.needs_grad[*x] || self.needs_grad[*w] || self.needs_grad[*b]
+            }
+            Op::Spmm(_, a)
+            | Op::MeanRows(a)
+            | Op::SegmentMeanRows(a, _)
+            | Op::Scale(a, _)
+            | Op::BceWithLogits(a, _)
+            | Op::BceWithLogitsBatch(a, _) => self.needs_grad[*a],
+        };
+        self.push_with(value, op, needs_grad)
+    }
+
+    fn push_with(&mut self, value: Matrix, op: Op, needs_grad: bool) -> NodeId {
         self.ops.push(op);
         self.values.push(value);
         self.grads.push(None);
+        self.needs_grad.push(needs_grad);
         self.stats.nodes_recorded += 1;
         self.values.len() - 1
     }
@@ -170,16 +238,7 @@ impl Tape {
     /// Pops a cleared spare buffer (capacity kept, length 0) for ops that
     /// overwrite every entry — no zero-fill double-touch.
     fn take_buf(&mut self) -> Vec<f32> {
-        match self.spare.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf
-            }
-            None => {
-                self.stats.fresh_buffers += 1;
-                Vec::new()
-            }
-        }
+        take_spare(&mut self.spare, &mut self.stats)
     }
 
     /// Inserts an input/parameter value, taking ownership (its buffer
@@ -198,9 +257,11 @@ impl Tape {
         self.push(m, Op::Leaf)
     }
 
-    /// Inserts a leaf that vertically concatenates `parts` (equal column
-    /// counts) into one matrix — how a minibatch of graphs' features
-    /// become one input, without an intermediate allocation.
+    /// Inserts a **constant** leaf that vertically concatenates `parts`
+    /// (equal column counts) into one matrix — how a minibatch of graphs'
+    /// features become one input, without an intermediate allocation.
+    /// It carries no gradient, and neither does anything computed from
+    /// it alone: [`Tape::backward`] skips that work.
     ///
     /// # Panics
     ///
@@ -215,7 +276,7 @@ impl Tape {
             buf.extend_from_slice(p.data());
         }
         let m = Matrix::from_vec(rows, cols, buf);
-        self.push(m, Op::Leaf)
+        self.push_with(m, Op::Leaf, false)
     }
 
     /// The forward value of a node.
@@ -223,7 +284,8 @@ impl Tape {
         &self.values[id]
     }
 
-    /// The accumulated gradient of a node (after [`Tape::backward`]).
+    /// The accumulated gradient of a node (after [`Tape::backward`]);
+    /// `None` for nodes no parameter leaf reaches.
     pub fn grad(&self, id: NodeId) -> Option<&Matrix> {
         self.grads[id].as_ref()
     }
@@ -267,32 +329,28 @@ impl Tape {
         self.push(out, Op::Add(a, b))
     }
 
-    /// Adds a 1×cols bias row to every row of `a`.
+    /// Fused dense layer `x × w + b`: the product, then the `1 × cols`
+    /// bias row added to every row, then `max(0, ·)` when `relu` is set —
+    /// one node, with the same operations in the same order as the three
+    /// separate steps.
     ///
     /// # Panics
     ///
-    /// Panics if `row` is not `1 × cols(a)`.
-    pub fn add_row_broadcast(&mut self, a: NodeId, row: NodeId) -> NodeId {
-        let (va, vr) = (&self.values[a], &self.values[row]);
-        assert_eq!(vr.rows(), 1);
-        assert_eq!(vr.cols(), va.cols());
-        let mut buf = self.take_buf();
-        let (va, vr) = (&self.values[a], &self.values[row]);
-        let cols = va.cols();
-        for a_row in va.data().chunks_exact(cols) {
-            buf.extend(a_row.iter().zip(vr.data()).map(|(&x, &b)| x + b));
+    /// Panics on dimension mismatch or if `b` is not `1 × cols(w)`.
+    pub fn dense(&mut self, x: NodeId, w: NodeId, b: NodeId, relu: bool) -> NodeId {
+        let mut out = self.alloc(self.values[x].rows(), self.values[w].cols());
+        let (vx, vw, vb) = (&self.values[x], &self.values[w], &self.values[b]);
+        assert_eq!((vb.rows(), vb.cols()), (1, vw.cols()), "bias shape");
+        vx.matmul_acc_into(vw, &mut out);
+        for row in out.data_mut().chunks_exact_mut(vb.cols()) {
+            for (o, &bias) in row.iter_mut().zip(vb.data()) {
+                *o += bias;
+                if relu {
+                    *o = o.max(0.0);
+                }
+            }
         }
-        let out = Matrix::from_vec(va.rows(), va.cols(), buf);
-        self.push(out, Op::AddRowBroadcast(a, row))
-    }
-
-    /// Rectified linear unit.
-    pub fn relu(&mut self, a: NodeId) -> NodeId {
-        let mut buf = self.take_buf();
-        let va = &self.values[a];
-        buf.extend(va.data().iter().map(|&x| x.max(0.0)));
-        let out = Matrix::from_vec(va.rows(), va.cols(), buf);
-        self.push(out, Op::Relu(a))
+        self.push(out, Op::Dense { x, w, b, relu })
     }
 
     /// Column-wise mean producing a 1×cols row (graph readout pooling).
@@ -432,12 +490,13 @@ impl Tape {
             ops,
             values,
             grads,
+            needs_grad,
             spare,
             stats,
         } = self;
 
         for id in (0..ops.len()).rev() {
-            if grads[id].is_none() {
+            if grads[id].is_none() || !needs_grad[id] {
                 continue;
             }
             // Operands of node `id` always have smaller ids, so the
@@ -449,31 +508,56 @@ impl Tape {
                 Op::Leaf => {}
                 Op::MatMul(a, b) => {
                     let (va, vb) = (&values[*a], &values[*b]);
-                    // ∂/∂a = g × bᵀ. Transposing `b` into a recycled
-                    // scratch buffer keeps the heavy loop in the
-                    // dependency-free axpy form (the dot-product kernel
-                    // `matmul_a_bt_acc_into` is ~2x slower — its k-sum is
-                    // a serial chain); the O(k·n) transpose is noise next
-                    // to the O(m·k·n) product, and the write-only extend
-                    // skips the zero-fill double-touch.
-                    let mut buf = match spare.pop() {
-                        Some(mut b) => {
-                            b.clear();
-                            b
-                        }
-                        None => {
-                            stats.fresh_buffers += 1;
-                            Vec::new()
-                        }
-                    };
-                    vb.transpose_extend(&mut buf);
-                    let bt = Matrix::from_vec(vb.cols(), vb.rows(), buf);
-                    let ga = grad_slot(&mut lower[*a], spare, stats, va.rows(), va.cols());
-                    g.matmul_acc_into(&bt, ga);
-                    spare.push(bt.into_data());
+                    if needs_grad[*a] {
+                        let ga = grad_slot(&mut lower[*a], spare, stats, va.rows(), va.cols());
+                        matmul_bt_acc(g, vb, ga, spare, stats);
+                    }
                     // ∂/∂b = aᵀ × g, accumulated without the transpose.
-                    let gb = grad_slot(&mut lower[*b], spare, stats, vb.rows(), vb.cols());
-                    va.matmul_at_acc_into(g, gb);
+                    if needs_grad[*b] {
+                        let gb = grad_slot(&mut lower[*b], spare, stats, vb.rows(), vb.cols());
+                        va.matmul_at_acc_into(g, gb);
+                    }
+                }
+                Op::Dense { x, w, b, relu } => {
+                    // The gradient at the pre-activation, formed once:
+                    // `0.0 + g` where the output is positive (everywhere
+                    // without ReLU), else 0. The `0.0 +` is what a
+                    // zero-initialised slot accumulating `g` holds (it
+                    // turns `-0.0` into `+0.0`), which the parameter
+                    // gradients' bits depend on.
+                    let out = &values[id];
+                    let mut buf = take_spare(spare, stats);
+                    if *relu {
+                        buf.extend(out.data().iter().zip(g.data()).map(|(&y, &gi)| {
+                            if y > 0.0 {
+                                0.0 + gi
+                            } else {
+                                0.0
+                            }
+                        }));
+                    } else {
+                        buf.extend(g.data().iter().map(|&gi| 0.0 + gi));
+                    }
+                    let g_pre = Matrix::from_vec(out.rows(), out.cols(), buf);
+                    let (vx, vw) = (&values[*x], &values[*w]);
+                    if needs_grad[*b] {
+                        let cols = g_pre.cols();
+                        let gb = grad_slot(&mut lower[*b], spare, stats, 1, cols);
+                        for g_row in g_pre.data().chunks_exact(cols) {
+                            for (o, &gi) in gb.data_mut().iter_mut().zip(g_row) {
+                                *o += gi;
+                            }
+                        }
+                    }
+                    if needs_grad[*w] {
+                        let gw = grad_slot(&mut lower[*w], spare, stats, vw.rows(), vw.cols());
+                        vx.matmul_at_acc_into(&g_pre, gw);
+                    }
+                    if needs_grad[*x] {
+                        let gx = grad_slot(&mut lower[*x], spare, stats, vx.rows(), vx.cols());
+                        matmul_bt_acc(&g_pre, vw, gx, spare, stats);
+                    }
+                    spare.push(g_pre.into_data());
                 }
                 Op::Spmm(adj, h) => {
                     let vh = &values[*h];
@@ -482,31 +566,10 @@ impl Tape {
                     adj.spmm_acc_into(g, gh);
                 }
                 Op::Add(a, b) => {
-                    for operand in [*a, *b] {
+                    for operand in [*a, *b].into_iter().filter(|&o| needs_grad[o]) {
                         let v = &values[operand];
                         let slot = grad_slot(&mut lower[operand], spare, stats, v.rows(), v.cols());
                         slot.add_scaled(g, 1.0);
-                    }
-                }
-                Op::AddRowBroadcast(a, row) => {
-                    let va = &values[*a];
-                    let ga = grad_slot(&mut lower[*a], spare, stats, va.rows(), va.cols());
-                    ga.add_scaled(g, 1.0);
-                    let cols = va.cols();
-                    let grow = grad_slot(&mut lower[*row], spare, stats, 1, cols);
-                    for g_row in g.data().chunks_exact(cols) {
-                        for (o, &x) in grow.data_mut().iter_mut().zip(g_row) {
-                            *o += x;
-                        }
-                    }
-                }
-                Op::Relu(a) => {
-                    let va = &values[*a];
-                    let ga = grad_slot(&mut lower[*a], spare, stats, va.rows(), va.cols());
-                    for ((o, &x), &gi) in ga.data_mut().iter_mut().zip(va.data()).zip(g.data()) {
-                        if x > 0.0 {
-                            *o += gi;
-                        }
                     }
                 }
                 Op::MeanRows(a) => {
@@ -755,22 +818,84 @@ mod tests {
         assert_eq!(t.value(total), t.value(batched));
     }
 
+    /// The fused dense op with ReLU on and off, differentiated in each of
+    /// its three operands (the other two held as fixed leaves). This is
+    /// also the check for the bias broadcast and the ReLU, which are only
+    /// recorded fused.
     #[test]
-    fn relu_and_bias_gradient() {
-        let b = Matrix::from_rows(&[&[0.1, -0.2, 0.3]]);
-        grad_check(
-            move |t, x| {
-                let bn = t.leaf(b.clone());
-                let h = t.add_row_broadcast(x, bn);
-                let r = t.relu(h);
-                let m = t.mean_rows(r);
-                let col = t.leaf(Matrix::from_rows(&[&[1.0], &[-1.0], &[0.5]]));
-                let s = t.matmul(m, col);
-                t.bce_with_logits(s, 0.0)
-            },
-            Matrix::from_rows(&[&[0.4, 0.6, -0.5], &[1.2, -0.9, 0.35]]),
-            2e-2,
-        );
+    fn dense_gradient() {
+        let x = Matrix::from_rows(&[&[0.4, 0.6, -0.5], &[1.2, -0.9, 0.35]]);
+        let w = Matrix::from_rows(&[&[0.5, -0.3], &[0.2, 0.8], &[-0.6, 0.1]]);
+        let b = Matrix::from_rows(&[&[0.1, -0.2]]);
+        for relu in [false, true] {
+            // `slot` picks which operand is the differentiated input.
+            for slot in 0..3 {
+                let (x, w, b) = (x.clone(), w.clone(), b.clone());
+                let input = [&x, &w, &b][slot].clone();
+                grad_check(
+                    move |t, v| {
+                        let mut ops = [x.clone(), w.clone(), b.clone()].map(|m| t.leaf(m));
+                        ops[slot] = v;
+                        let y = t.dense(ops[0], ops[1], ops[2], relu);
+                        let m = t.mean_rows(y);
+                        let col = t.leaf(Matrix::from_rows(&[&[1.0], &[-1.5]]));
+                        let s = t.matmul(m, col);
+                        t.bce_with_logits(s, 0.0)
+                    },
+                    input,
+                    2e-2,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dense_matches_the_unfused_steps_bitwise() {
+        let x = Matrix::he_init(5, 4, 1);
+        let w = Matrix::he_init(4, 3, 2);
+        let b = Matrix::from_rows(&[&[0.3, -0.7, 0.05]]);
+        let mut t = Tape::new();
+        let (xn, wn, bn) = (t.leaf(x.clone()), t.leaf(w.clone()), t.leaf(b.clone()));
+        let y = t.dense(xn, wn, bn, true);
+        let m = t.mean_rows(y);
+        let col = t.leaf(Matrix::from_rows(&[&[1.0], &[-2.0], &[0.5]]));
+        let s = t.matmul(m, col);
+        let l = t.bce_with_logits(s, 1.0);
+        t.backward(l);
+
+        // Forward: product, then bias, then ReLU.
+        let steps = x.matmul(&w).add_row_broadcast(&b).map(|v| v.max(0.0));
+        assert_eq!(t.value(y), &steps);
+        // Backward: the ReLU rule's fresh slot, then the bias sum and the
+        // two products, as the separate rules computed them.
+        let g = t.grad(y).expect("upstream gradient");
+        let mut g_pre = Matrix::zeros(5, 3);
+        for (i, (&out, &gi)) in steps.data().iter().zip(g.data()).enumerate() {
+            if out > 0.0 {
+                g_pre.data_mut()[i] += gi;
+            }
+        }
+        assert!(g_pre.data().contains(&0.0), "the ReLU gates some entry");
+        assert_eq!(t.grad(bn), Some(&g_pre.sum_rows()));
+        assert_eq!(t.grad(wn), Some(&x.transpose().matmul(&g_pre)));
+        assert_eq!(t.grad(xn), Some(&g_pre.matmul(&w.transpose())));
+    }
+
+    #[test]
+    fn constant_inputs_carry_no_gradient() {
+        let mut t = Tape::new();
+        let feats = Matrix::from_rows(&[&[0.5, -1.0], &[2.0, 0.25]]);
+        let x = t.leaf_concat_rows(&[&feats]);
+        let adj = Arc::new(SparseMatrix::adjacency_hat(2, &[(0, 1)]));
+        let agg = t.spmm(&adj, x);
+        let w = t.leaf(Matrix::from_rows(&[&[1.0], &[-2.0]]));
+        let b = t.leaf(Matrix::from_rows(&[&[0.1]]));
+        let y = t.dense(agg, w, b, false);
+        let m = t.mean_rows(y);
+        let l = t.bce_with_logits(m, 1.0);
+        t.backward(l);
+        assert!(t.grad(x).is_none() && t.grad(agg).is_none());
+        assert!(t.grad(w).is_some() && t.grad(b).is_some());
     }
 
     #[test]
@@ -836,9 +961,13 @@ mod tests {
     #[test]
     fn reset_recycles_buffers_and_keeps_results_identical() {
         let input = Matrix::from_rows(&[&[0.4, -0.3], &[0.8, 0.1]]);
+        let weight = Matrix::from_rows(&[&[1.0, -0.5], &[0.25, 2.0]]);
+        let bias = Matrix::from_rows(&[&[0.1, -0.2]]);
         let run = |t: &mut Tape| {
             let x = t.leaf_copy(&input);
-            let r = t.relu(x);
+            let w = t.leaf_copy(&weight);
+            let b = t.leaf_copy(&bias);
+            let r = t.dense(x, w, b, true);
             let m = t.mean_rows(r);
             let col = t.leaf(Matrix::from_rows(&[&[1.0], &[2.0]]));
             let s = t.matmul(m, col);
@@ -860,7 +989,7 @@ mod tests {
             allocs_after_first,
             "a reused tape must not allocate after warm-up"
         );
-        assert_eq!(tape.stats().nodes_recorded, 11 * 6);
+        assert_eq!(tape.stats().nodes_recorded, 11 * 8);
     }
 
     #[test]

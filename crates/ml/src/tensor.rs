@@ -11,10 +11,21 @@
 //! bit-for-bit.
 //!
 //! Dense kernels come in allocating (`matmul`) and accumulating
-//! (`matmul_acc_into`, `matmul_at_acc_into`, `matmul_a_bt_acc_into`)
-//! forms; the accumulating forms are what the autodiff tape's in-place
-//! backward pass uses, and all of them iterate the contraction index
-//! ascending in k-blocked panels, so blocking never changes the result.
+//! (`matmul_acc_into`, `matmul_at_acc_into`) forms; the accumulating
+//! forms are what the autodiff tape's in-place backward pass uses. Both
+//! run one register-tiled micro-kernel with a fixed **tiling contract**:
+//!
+//! - an `MR × NR` (4 × 8) tile of `out` is loaded into locals once, takes
+//!   the whole contraction, and is written back once; row and column
+//!   remainders take narrower tiles (heights 2 and 1, widths 4, 2 and 1),
+//!   never a scalar loop;
+//! - every output element receives its products in ascending `k`,
+//!   starting from its prior value, each as a separate multiply and add
+//!   (no FMA, no reassociation).
+//!
+//! The result is therefore bit-identical to the plain triple loop
+//! `out[i][j] += a[i][k] * b[k][j]` over ascending `k`, whatever the
+//! shape — `tests/gemm_parity.rs` checks exactly that, bit for bit.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -149,12 +160,10 @@ impl Matrix {
 
     /// Accumulating product `out += self × other`.
     ///
-    /// The triple loop is blocked over the contraction index so the panel
-    /// of `other` rows in flight stays cache-resident, and the innermost
-    /// loop is a slice-zip axpy the compiler can vectorise. Blocks are
-    /// visited in ascending `k` order, so every output element receives
-    /// its partial products in plain ascending-`k` order — blocking never
-    /// changes the floating-point result.
+    /// Runs the register-tiled micro-kernel described in the
+    /// [module documentation](self): every output element receives its
+    /// products in ascending `k`, starting from its prior value, so the
+    /// result is bit-identical to the plain triple loop.
     ///
     /// # Panics
     ///
@@ -162,27 +171,12 @@ impl Matrix {
     pub fn matmul_acc_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         assert_eq!((out.rows, out.cols), (self.rows, other.cols));
-        const KC: usize = 64;
-        let n = other.cols;
-        let mut kb = 0;
-        while kb < self.cols {
-            let kend = (kb + KC).min(self.cols);
-            for i in 0..self.rows {
-                let a_row = &self.data[i * self.cols..][..self.cols];
-                let out_row = &mut out.data[i * n..][..n];
-                for (k, &a) in a_row.iter().enumerate().take(kend).skip(kb) {
-                    let b_row = &other.data[k * n..][..n];
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += a * b;
-                    }
-                }
-            }
-            kb = kend;
-        }
+        gemm_acc::<false>(&self.data, self.cols, other, out);
     }
 
     /// Accumulating transposed-left product `out += selfᵀ × other`
-    /// (the weight-gradient kernel: no transpose is materialised).
+    /// (the weight-gradient kernel: no transpose is materialised). Same
+    /// micro-kernel and addition order as [`Matrix::matmul_acc_into`].
     ///
     /// # Panics
     ///
@@ -190,41 +184,7 @@ impl Matrix {
     pub fn matmul_at_acc_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "matmul_at dimension mismatch");
         assert_eq!((out.rows, out.cols), (self.cols, other.cols));
-        let n = other.cols;
-        // k runs over the shared row index ascending, matching the
-        // addition order of `self.transpose().matmul(other)` exactly.
-        for k in 0..self.rows {
-            let a_row = &self.data[k * self.cols..][..self.cols];
-            let b_row = &other.data[k * n..][..n];
-            for (i, &a) in a_row.iter().enumerate() {
-                let out_row = &mut out.data[i * n..][..n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-    }
-
-    /// Accumulating transposed-right product `out += self × otherᵀ`
-    /// (the input-gradient kernel: no transpose is materialised).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn matmul_a_bt_acc_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.cols, "matmul_a_bt dimension mismatch");
-        assert_eq!((out.rows, out.cols), (self.rows, other.rows));
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..][..self.cols];
-            let out_row = &mut out.data[i * other.rows..][..other.rows];
-            for (o, b_row) in out_row.iter_mut().zip(other.data.chunks_exact(other.cols)) {
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                *o += acc;
-            }
-        }
+        gemm_acc::<true>(&self.data, self.cols, other, out);
     }
 
     /// Transpose.
@@ -395,6 +355,96 @@ impl Matrix {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         self.data.copy_from_slice(&other.data);
     }
+}
+
+/// Rows of `out` a full micro-tile holds in registers.
+const MR: usize = 4;
+/// Columns of `out` a full micro-tile holds in registers.
+const NR: usize = 8;
+
+/// `out += A × b`, the one dense kernel behind [`Matrix::matmul_acc_into`]
+/// and [`Matrix::matmul_at_acc_into`]. `A(i, k)` is `a[i * lda + k]`, or
+/// `a[k * lda + i]` with `TRANS_A` (the left operand stored transposed).
+///
+/// `out` is covered by `MR × NR` tiles; the row and column remainders
+/// take narrower tiles (heights 2 and 1, widths 4, 2 and 1), so every
+/// width runs the same micro-kernel.
+fn gemm_acc<const TRANS_A: bool>(a: &[f32], lda: usize, b: &Matrix, out: &mut Matrix) {
+    let m = out.rows;
+    let mut i = 0;
+    while i < m {
+        i += match m - i {
+            left if left >= MR => row_panel::<TRANS_A, MR>(a, lda, b, out, i),
+            left if left >= 2 => row_panel::<TRANS_A, 2>(a, lda, b, out, i),
+            _ => row_panel::<TRANS_A, 1>(a, lda, b, out, i),
+        };
+    }
+}
+
+/// Tiles rows `i..i + H` of `out` left to right; returns `H`.
+fn row_panel<const TRANS_A: bool, const H: usize>(
+    a: &[f32],
+    lda: usize,
+    b: &Matrix,
+    out: &mut Matrix,
+    i: usize,
+) -> usize {
+    let n = out.cols;
+    let mut j = 0;
+    while j < n {
+        j += match n - j {
+            left if left >= NR => tile::<TRANS_A, H, NR>(a, lda, b, out, i, j),
+            left if left >= 4 => tile::<TRANS_A, H, 4>(a, lda, b, out, i, j),
+            left if left >= 2 => tile::<TRANS_A, H, 2>(a, lda, b, out, i, j),
+            _ => tile::<TRANS_A, H, 1>(a, lda, b, out, i, j),
+        };
+    }
+    H
+}
+
+/// The micro-kernel: loads the `H × W` tile of `out` at `(i, j)` into
+/// locals, adds `A(i + r, k) * b(k, j + c)` for `k` ascending (a separate
+/// multiply and add, never fused or reassociated), and stores the tile
+/// back once. Returns `W`.
+#[inline(always)]
+fn tile<const TRANS_A: bool, const H: usize, const W: usize>(
+    a: &[f32],
+    lda: usize,
+    b: &Matrix,
+    out: &mut Matrix,
+    i: usize,
+    j: usize,
+) -> usize {
+    let (n, kdim) = (out.cols, b.rows);
+    let mut acc = [[0.0f32; W]; H];
+    for (r, acc_row) in acc.iter_mut().enumerate() {
+        acc_row.copy_from_slice(&out.data[(i + r) * n + j..][..W]);
+    }
+    // Rows of `A` for the plain layout; unused when `A` is transposed.
+    let a_rows: [&[f32]; H] = std::array::from_fn(|r| {
+        if TRANS_A {
+            &[]
+        } else {
+            &a[(i + r) * lda..][..kdim]
+        }
+    });
+    for (k, b_row) in b.data.chunks_exact(n).enumerate() {
+        let b_k: &[f32; W] = b_row[j..j + W].try_into().expect("tile width");
+        let a_k: [f32; H] = if TRANS_A {
+            a[k * lda + i..][..H].try_into().expect("tile height")
+        } else {
+            std::array::from_fn(|r| a_rows[r][k])
+        };
+        for (acc_row, &av) in acc.iter_mut().zip(&a_k) {
+            for (o, &bv) in acc_row.iter_mut().zip(b_k) {
+                *o += av * bv;
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out.data[(i + r) * n + j..][..W].copy_from_slice(acc_row);
+    }
+    W
 }
 
 impl fmt::Debug for Matrix {
@@ -729,15 +779,6 @@ mod tests {
         let mut at = Matrix::zeros(7, 3);
         a.matmul_at_acc_into(&g, &mut at);
         assert_eq!(at, a.transpose().matmul(&g));
-
-        // self × otherᵀ without materialising the transpose.
-        let w = Matrix::he_init(4, 7, 4);
-        let mut bt = Matrix::zeros(5, 4);
-        a.matmul_a_bt_acc_into(&w, &mut bt);
-        let reference = a.matmul(&w.transpose());
-        for (x, y) in bt.data().iter().zip(reference.data()) {
-            assert!((x - y).abs() < 1e-6, "{x} vs {y}");
-        }
     }
 
     #[test]

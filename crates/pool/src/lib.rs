@@ -9,7 +9,10 @@
 //! results): jobs are dealt round-robin to per-worker deques, each worker
 //! pops its own queue from the front and *steals from the back* of its
 //! siblings' queues when it runs dry, so a long row (say, a c6288 miter)
-//! never strands the other cores behind it.
+//! never strands the other cores behind it. The calling thread is worker
+//! 0: a batch spawns one thread fewer than it has workers, and the caller
+//! works through its queue instead of blocking on the join — which
+//! matters to the trainer, which calls once per minibatch.
 //!
 //! Determinism: results are returned **in job order**, whatever the
 //! completion order was, so a harness's output is byte-identical between
@@ -32,6 +35,22 @@ std::thread_local! {
     /// and serial execution is the same bit-for-bit result by the pool's
     /// determinism contract.
     static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the calling thread as a pool worker while it runs worker 0 of a
+/// batch; dropping it (also during an unwind) restores the previous flag.
+struct WorkerFlag(bool);
+
+impl WorkerFlag {
+    fn raise() -> Self {
+        WorkerFlag(IN_POOL_WORKER.with(|flag| flag.replace(true)))
+    }
+}
+
+impl Drop for WorkerFlag {
+    fn drop(&mut self) {
+        IN_POOL_WORKER.with(|flag| flag.set(self.0));
+    }
 }
 
 /// Worker count: `ALMOST_JOBS` when set (≥ 1), else the machine's
@@ -95,63 +114,70 @@ where
         Vec::new()
     };
 
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let (queues, f, tallies) = (&queues, &f, &tallies);
-            scope.spawn(move || {
-                IN_POOL_WORKER.with(|flag| flag.set(true));
-                loop {
-                    // Own queue first (front), then steal from siblings
-                    // (back). The own-queue pop is its own statement so
-                    // its guard drops before any sibling lock is probed:
-                    // holding one queue lock while acquiring another
-                    // would make the lock order cyclic across workers
-                    // (deadlock).
-                    let own = queues[w].lock().expect("queue lock").pop_front();
-                    let stolen = own.is_none();
-                    let job = own.or_else(|| {
-                        (1..workers).find_map(|d| {
-                            queues[(w + d) % workers]
-                                .lock()
-                                .expect("queue lock")
-                                .pop_back()
-                        })
-                    });
-                    match job {
-                        Some((i, item)) => {
-                            if trace_on {
-                                let start_us = telemetry::clock::now_us();
-                                let result = f(i, item);
-                                let dur_us = telemetry::clock::now_us().saturating_sub(start_us);
-                                telemetry::trace(|| telemetry::EventKind::PoolJob {
-                                    worker: w as u32,
-                                    job: i as u32,
-                                    stolen,
-                                    start_us,
-                                    dur_us,
-                                });
-                                let mut tally = tallies[w].lock().expect("tally lock");
-                                tally.executed += 1;
-                                tally.stolen += u32::from(stolen);
-                                tally.busy_us += dur_us;
-                                drop(tally);
-                                let _ = tx.send((i, result));
-                            } else {
-                                let _ = tx.send((i, f(i, item)));
-                            }
-                        }
-                        // No job is ever enqueued after the deal above,
-                        // so a full sweep finding every queue empty means
-                        // all jobs are claimed — this worker is done (no
-                        // idle spinning while long rows finish
-                        // elsewhere).
-                        None => break,
+    // Worker `w`'s loop: own queue first, then steal; every result goes
+    // to `tx`, tagged with its job index.
+    let run_worker = |w: usize, tx: mpsc::Sender<(usize, R)>| {
+        loop {
+            // Own queue first (front), then steal from siblings (back).
+            // The own-queue pop is its own statement so its guard drops
+            // before any sibling lock is probed: holding one queue lock
+            // while acquiring another would make the lock order cyclic
+            // across workers (deadlock).
+            let own = queues[w].lock().expect("queue lock").pop_front();
+            let stolen = own.is_none();
+            let job = own.or_else(|| {
+                (1..workers).find_map(|d| {
+                    queues[(w + d) % workers]
+                        .lock()
+                        .expect("queue lock")
+                        .pop_back()
+                })
+            });
+            match job {
+                Some((i, item)) => {
+                    if trace_on {
+                        let start_us = telemetry::clock::now_us();
+                        let result = f(i, item);
+                        let dur_us = telemetry::clock::now_us().saturating_sub(start_us);
+                        telemetry::trace(|| telemetry::EventKind::PoolJob {
+                            worker: w as u32,
+                            job: i as u32,
+                            stolen,
+                            start_us,
+                            dur_us,
+                        });
+                        let mut tally = tallies[w].lock().expect("tally lock");
+                        tally.executed += 1;
+                        tally.stolen += u32::from(stolen);
+                        tally.busy_us += dur_us;
+                        drop(tally);
+                        let _ = tx.send((i, result));
+                    } else {
+                        let _ = tx.send((i, f(i, item)));
                     }
                 }
+                // No job is ever enqueued after the deal above, so a full
+                // sweep finding every queue empty means all jobs are
+                // claimed — this worker is done (no idle spinning while
+                // long rows finish elsewhere).
+                None => break,
+            }
+        }
+    };
+
+    // The calling thread is worker 0, so a batch spawns `workers - 1`
+    // threads and the caller works instead of blocking on the join.
+    std::thread::scope(|scope| {
+        for w in 1..workers {
+            let tx = tx.clone();
+            let run_worker = &run_worker;
+            scope.spawn(move || {
+                IN_POOL_WORKER.with(|flag| flag.set(true));
+                run_worker(w, tx);
             });
         }
-        drop(tx);
+        let _flag = WorkerFlag::raise();
+        run_worker(0, tx);
     });
 
     if trace_on {
@@ -289,6 +315,34 @@ mod tests {
     fn empty_and_single_item_inputs_work() {
         assert_eq!(map_indexed(Vec::<u8>::new(), |_, x| x), Vec::<u8>::new());
         assert_eq!(map_indexed(vec![9u8], |i, x| (i as u8) + x), vec![9]);
+    }
+
+    #[test]
+    fn the_caller_works_and_is_unmarked_afterwards() {
+        let caller = std::thread::current().id();
+        let on_caller = map_indexed((0..8u32).collect(), |_, _| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::current().id() == caller
+        });
+        if num_workers() > 1 {
+            assert!(on_caller.contains(&true), "worker 0 runs on the caller");
+            assert!(on_caller.contains(&false), "the other workers are threads");
+        }
+        assert!(!IN_POOL_WORKER.with(|flag| flag.get()));
+
+        // Job 0 is worker 0's first pop, so it panics on the caller; the
+        // unwind must still clear the caller's worker flag.
+        let caught = std::panic::catch_unwind(|| {
+            map_indexed((0..8u32).collect(), |i, x| {
+                assert!(i != 0, "job 0 fails");
+                x
+            })
+        });
+        assert!(caught.is_err());
+        assert!(
+            !IN_POOL_WORKER.with(|flag| flag.get()),
+            "a panicking batch must not leave the caller marked as a worker"
+        );
     }
 
     #[test]
