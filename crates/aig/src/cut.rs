@@ -7,7 +7,7 @@
 //! by ABC's rewriting and technology mapping.
 
 use crate::aig::{Aig, NodeKind, Var};
-use crate::truth::Tt;
+use crate::truth::{Tt, MAX_VARS};
 
 /// A single cut: a sorted set of leaf variables.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -124,9 +124,13 @@ impl CutSet {
     ///
     /// # Panics
     ///
-    /// Panics if `config.k` is 0 or greater than 16 (the truth-table limit).
+    /// Panics if `config.k` is 0 or greater than [`MAX_VARS`] (8, the
+    /// truth-table limit).
     pub fn compute(aig: &Aig, config: CutConfig) -> Self {
-        assert!(config.k >= 1 && config.k <= 16);
+        assert!(
+            config.k >= 1 && config.k <= MAX_VARS,
+            "cut width must be in 1..={MAX_VARS}"
+        );
         let mut cuts: Vec<Vec<Cut>> = Vec::with_capacity(aig.num_nodes());
         for v in aig.iter_vars() {
             let node_cuts = match aig.node(v) {
@@ -182,35 +186,49 @@ impl CutSet {
 ///
 /// Leaf `i` of the cut becomes variable `i` of the table. All interior nodes
 /// must be AND nodes.
+///
+/// # Panics
+///
+/// Panics if the cut has more than [`MAX_VARS`] leaves or does not cover
+/// the cone of `root`.
 pub fn cut_function(aig: &Aig, root: Var, cut: &Cut) -> Tt {
     let nvars = cut.size();
-    let mut memo: std::collections::HashMap<Var, Tt> = std::collections::HashMap::new();
-    memo.insert(0, Tt::zero(nvars));
+    // A linear memo: cut cones are a handful of nodes, so a scan beats
+    // hashing. Lookups scan from the back, so a leaf shadows the constant
+    // node and recently computed fanins are found first.
+    let mut memo: Vec<(Var, Tt)> = Vec::with_capacity(nvars + 16);
+    memo.push((0, Tt::zero(nvars)));
     for (i, &leaf) in cut.leaves().iter().enumerate() {
-        memo.insert(leaf, Tt::var(i, nvars));
+        memo.push((leaf, Tt::var(i, nvars)));
     }
-    fn go(aig: &Aig, v: Var, memo: &mut std::collections::HashMap<Var, Tt>) -> Tt {
-        if let Some(t) = memo.get(&v) {
-            return t.clone();
+    let lookup = |memo: &[(Var, Tt)], v: Var| memo.iter().rev().find(|e| e.0 == v).map(|e| e.1);
+    let mut stack = vec![root];
+    while let Some(&v) = stack.last() {
+        if lookup(&memo, v).is_some() {
+            stack.pop();
+            continue;
         }
-        match aig.node(v) {
-            NodeKind::And(a, b) => {
-                let mut ta = go(aig, a.var(), memo);
-                let mut tb = go(aig, b.var(), memo);
-                if a.is_complement() {
-                    ta = ta.not();
-                }
-                if b.is_complement() {
-                    tb = tb.not();
-                }
-                let t = ta.and(&tb);
-                memo.insert(v, t.clone());
-                t
+        let NodeKind::And(a, b) = aig.node(v) else {
+            panic!("cut does not cover node {v}");
+        };
+        match (lookup(&memo, a.var()), lookup(&memo, b.var())) {
+            (Some(ta), Some(tb)) => {
+                let ta = if a.is_complement() { ta.not() } else { ta };
+                let tb = if b.is_complement() { tb.not() } else { tb };
+                memo.push((v, ta.and(&tb)));
+                stack.pop();
             }
-            _ => panic!("cut does not cover node {v}"),
+            (ta, tb) => {
+                if tb.is_none() {
+                    stack.push(b.var());
+                }
+                if ta.is_none() {
+                    stack.push(a.var());
+                }
+            }
         }
     }
-    go(aig, root, &mut memo)
+    lookup(&memo, root).expect("root was just computed")
 }
 
 #[cfg(test)]

@@ -59,35 +59,37 @@ impl Cube {
 /// Returns the list of cubes; ORing [`Cube::to_tt`] over them reproduces `f`
 /// exactly (checked in tests and by `debug_assert!`).
 pub fn isop(f: &Tt) -> Vec<Cube> {
-    let (cubes, cover) = isop_rec(f, f, f.nvars());
-    debug_assert_eq!(&cover, f, "ISOP cover must equal the function");
+    let mut cubes = Vec::new();
+    isop_into(f, &mut cubes);
     cubes
 }
 
-/// Minato–Morreale recursion: computes a cover F with `lower ⊆ F ⊆ upper`.
-fn isop_rec(lower: &Tt, upper: &Tt, top: usize) -> (Vec<Cube>, Tt) {
+/// Appends the cubes of [`isop`]`(f)` to `out`, in the same order.
+fn isop_into(f: &Tt, out: &mut Vec<Cube>) {
+    let cover = isop_rec(f, f, f.nvars(), out);
+    debug_assert_eq!(&cover, f, "ISOP cover must equal the function");
+}
+
+/// Minato–Morreale recursion: appends the cubes of a cover F with
+/// `lower ⊆ F ⊆ upper` to `out` and returns F.
+fn isop_rec(lower: &Tt, upper: &Tt, top: usize, out: &mut Vec<Cube>) -> Tt {
     let nvars = lower.nvars();
     if lower.is_zero() {
-        return (Vec::new(), Tt::zero(nvars));
+        return Tt::zero(nvars);
     }
     if upper.is_one() {
-        return (vec![Cube::UNIVERSE], Tt::one(nvars));
+        out.push(Cube::UNIVERSE);
+        return Tt::one(nvars);
     }
     // Find the topmost variable either bound depends on.
-    let mut var = None;
-    for v in (0..top).rev() {
-        if lower.depends_on(v) || upper.depends_on(v) {
-            var = Some(v);
-            break;
-        }
-    }
-    let var = match var {
-        Some(v) => v,
-        None => {
-            // Neither depends on remaining variables; lower is nonzero and
-            // constant over them, so the universe cube is the cover.
-            return (vec![Cube::UNIVERSE], Tt::one(nvars));
-        }
+    let Some(var) = (0..top)
+        .rev()
+        .find(|&v| lower.depends_on(v) || upper.depends_on(v))
+    else {
+        // Neither depends on remaining variables; lower is nonzero and
+        // constant over them, so the universe cube is the cover.
+        out.push(Cube::UNIVERSE);
+        return Tt::one(nvars);
     };
 
     let l0 = lower.cofactor0(var);
@@ -96,25 +98,23 @@ fn isop_rec(lower: &Tt, upper: &Tt, top: usize) -> (Vec<Cube>, Tt) {
     let u1 = upper.cofactor1(var);
 
     // Minterms that can only be covered in the var=0 branch.
-    let (mut c0, f0) = isop_rec(&l0.and(&u1.not()), &u0, var);
-    // Minterms that can only be covered in the var=1 branch.
-    let (mut c1, f1) = isop_rec(&l1.and(&u0.not()), &u1, var);
-    // Remaining minterms, coverable without the variable.
-    let lnew = l0.and(&f0.not()).or(&l1.and(&f1.not()));
-    let (c2, f2) = isop_rec(&lnew, &u0.and(&u1), var);
-
-    for c in &mut c0 {
+    let start = out.len();
+    let f0 = isop_rec(&l0.and(&u1.not()), &u0, var, out);
+    for c in &mut out[start..] {
         c.neg |= 1 << var;
     }
-    for c in &mut c1 {
+    // Minterms that can only be covered in the var=1 branch.
+    let mid = out.len();
+    let f1 = isop_rec(&l1.and(&u0.not()), &u1, var, out);
+    for c in &mut out[mid..] {
         c.pos |= 1 << var;
     }
+    // Remaining minterms, coverable without the variable.
+    let lnew = l0.and(&f0.not()).or(&l1.and(&f1.not()));
+    let f2 = isop_rec(&lnew, &u0.and(&u1), var, out);
+
     let tv = Tt::var(var, nvars);
-    let cover = f2.or(&tv.not().and(&f0)).or(&tv.and(&f1));
-    let mut cubes = c0;
-    cubes.extend(c1);
-    cubes.extend(c2);
-    (cubes, cover)
+    f2.or(&tv.not().and(&f0)).or(&tv.and(&f1))
 }
 
 /// Builds an AIG structure computing the SOP `cubes` over the given leaf
@@ -124,17 +124,20 @@ fn isop_rec(lower: &Tt, upper: &Tt, top: usize) -> (Vec<Cube>, Tt) {
 /// is reused for free.
 pub fn build_sop(dest: &mut Aig, cubes: &[Cube], leaves: &[Lit]) -> Lit {
     let mut terms = Vec::with_capacity(cubes.len());
-    let mut lits = Vec::with_capacity(leaves.len());
+    // A cube's literal masks are `u32`s, so it has at most 32 literals.
+    let mut lits = [Lit::FALSE; 32];
     for cube in cubes {
-        lits.clear();
+        let mut n = 0;
         for (v, &leaf) in leaves.iter().enumerate() {
             if cube.pos >> v & 1 != 0 {
-                lits.push(leaf);
+                lits[n] = leaf;
+                n += 1;
             } else if cube.neg >> v & 1 != 0 {
-                lits.push(!leaf);
+                lits[n] = !leaf;
+                n += 1;
             }
         }
-        terms.push(dest.and_many(&lits));
+        terms.push(dest.and_many(&lits[..n]));
     }
     dest.or_many(&terms)
 }
@@ -196,8 +199,11 @@ struct Shannon {
 /// Each candidate is *probed*: built into `dest` through its structural
 /// hash, which is the only way to learn its cost under the sharing `dest`
 /// already offers. A losing probe is undone with [`Aig::rollback`], which
-/// restores the exact construction state. Shannon is probed last, so when
-/// it wins its nodes are simply kept; an SOP winner is rebuilt (a cheap,
+/// restores the exact construction state. The candidates are probed in
+/// the order above, and a probe that is known to win when it finishes is
+/// kept: one that adds no node (nothing can be strictly cheaper), the
+/// complemented cover when no Shannon candidate follows it, and Shannon,
+/// which is probed last. Any other SOP winner is rebuilt (a cheap,
 /// non-recursive build that reproduces the probe node for node). A
 /// recursive Shannon subtree is therefore built once per probe of its
 /// root, not once more for every level at which Shannon wins, which made
@@ -252,12 +258,21 @@ impl Resynth {
             Plan::Leaf(v, complement) => leaves[v].xor_complement(complement),
             Plan::Wide(shannon) => self.build_shannon(dest, shannon, leaves),
             Plan::Probe { pos, neg, shannon } => {
+                // A probe that wins is kept instead of being rebuilt, and
+                // a probe that adds no node wins outright: every other
+                // candidate has to be strictly cheaper.
                 let cp = dest.checkpoint();
-                build_sop(dest, self.cover(pos), leaves);
+                let lit_pos = build_sop(dest, self.cover(pos), leaves);
                 let cost_pos = dest.checkpoint() - cp;
+                if cost_pos == 0 {
+                    return lit_pos;
+                }
                 dest.rollback(cp);
-                build_sop(dest, self.cover(neg), leaves);
+                let lit_neg = !build_sop(dest, self.cover(neg), leaves);
                 let cost_neg = dest.checkpoint() - cp;
+                if cost_neg < cost_pos && (cost_neg == 0 || shannon.is_none()) {
+                    return lit_neg;
+                }
                 dest.rollback(cp);
                 if let Some(shannon) = shannon {
                     let lit = self.build_shannon(dest, shannon, leaves);
@@ -297,7 +312,7 @@ impl Resynth {
         let plan = self.make_plan(tt);
         let id = self.plans.len() as u32;
         self.plans.push(plan);
-        self.ids.insert(tt.clone(), id);
+        self.ids.insert(*tt, id);
         id
     }
 
@@ -319,14 +334,19 @@ impl Resynth {
                 return Plan::Leaf(v, true);
             }
         }
-        let cubes_pos = isop(tt);
-        let cubes_neg = isop(&not_tt);
-        if cubes_pos.len().min(cubes_neg.len()) > MAX_CUBES {
+        // Both covers go straight into the arena; a Wide plan drops them.
+        let start = self.cubes.len();
+        isop_into(tt, &mut self.cubes);
+        let mid = self.cubes.len();
+        isop_into(&not_tt, &mut self.cubes);
+        let end = self.cubes.len();
+        if (mid - start).min(end - mid) > MAX_CUBES {
+            self.cubes.truncate(start);
             let var = most_binate_var(tt).expect("non-degenerate function has support");
             return Plan::Wide(self.shannon(tt, var));
         }
-        let pos = self.intern(cubes_pos);
-        let neg = self.intern(cubes_neg);
+        let pos = (start as u32, mid as u32);
+        let neg = (mid as u32, end as u32);
         let shannon = if nvars <= MAX_SHANNON_PROBE_VARS {
             most_binate_var(tt).map(|var| self.shannon(tt, var))
         } else {
@@ -342,12 +362,6 @@ impl Resynth {
             var,
             cofactors: [c0, c1],
         }
-    }
-
-    fn intern(&mut self, cubes: Vec<Cube>) -> (u32, u32) {
-        let start = self.cubes.len() as u32;
-        self.cubes.extend(cubes);
-        (start, self.cubes.len() as u32)
     }
 }
 

@@ -9,8 +9,8 @@
 //!   buffer, the crate's 64-bit word simulator ([`compile`]), with
 //!   random-pattern equivalence checks and ternary simulation on top
 //!   ([`sim`]),
-//! - truth tables up to 16 variables with NPN canonisation ([`truth`],
-//!   [`npn`]),
+//! - inline, allocation-free truth tables of up to 8 variables with NPN
+//!   canonisation ([`truth`], [`npn`]),
 //! - k-feasible cut enumeration ([`cut`]),
 //! - irredundant sum-of-products extraction (Minato–Morreale ISOP,
 //!   [`isop`]),

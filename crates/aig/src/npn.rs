@@ -32,7 +32,7 @@ impl NpnTransform {
 
     /// Applies this transformation to a truth table.
     pub fn apply(&self, tt: &Tt) -> Tt {
-        let mut t = tt.clone();
+        let mut t = *tt;
         for v in 0..t.nvars() {
             if self.input_flips >> v & 1 != 0 {
                 t = t.flip_var(v);
@@ -70,7 +70,8 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 ///
 /// Returns the canonical representative (the minimum table under word
 /// ordering) and a transformation such that `transform.apply(tt) ==
-/// canonical`.
+/// canonical`. Transforms are tried with input flips outermost, then
+/// permutations, then the output phase, and the first minimum wins.
 ///
 /// # Panics
 ///
@@ -82,40 +83,35 @@ pub fn canonize(tt: &Tt) -> (Tt, NpnTransform) {
         "exhaustive NPN canonisation is limited to 4 variables"
     );
     let perms = permutations(n);
-    let mut best: Option<(Tt, NpnTransform)> = None;
+    // Each permutation is applied once, to the unflipped table: flipping
+    // input `v` and then permuting equals permuting and then flipping the
+    // position `i` with `perm[i] == v`.
+    let permuted: Vec<Tt> = perms.iter().map(|perm| tt.permute(perm)).collect();
+    let mut best: Option<(Tt, u32, usize, bool)> = None;
     for flips in 0..(1u32 << n) {
-        let mut flipped = tt.clone();
-        for v in 0..n {
-            if flips >> v & 1 != 0 {
-                flipped = flipped.flip_var(v);
+        for (p, perm) in perms.iter().enumerate() {
+            let mut t = permuted[p];
+            for (i, &v) in perm.iter().enumerate() {
+                if flips >> v & 1 != 0 {
+                    t = t.flip_var(i);
+                }
             }
-        }
-        for perm in &perms {
-            let permuted = flipped.permute(perm);
-            for &out_flip in &[false, true] {
-                let cand = if out_flip {
-                    permuted.not()
-                } else {
-                    permuted.clone()
-                };
-                let better = match &best {
-                    None => true,
-                    Some((b, _)) => cand.words() < b.words(),
-                };
-                if better {
-                    best = Some((
-                        cand,
-                        NpnTransform {
-                            input_flips: flips,
-                            perm: perm.clone(),
-                            output_flip: out_flip,
-                        },
-                    ));
+            for out_flip in [false, true] {
+                let cand = if out_flip { t.not() } else { t };
+                if best.is_none_or(|(b, ..)| cand.words() < b.words()) {
+                    best = Some((cand, flips, p, out_flip));
                 }
             }
         }
     }
-    best.expect("at least the identity transform exists")
+    let (canon, input_flips, p, output_flip) =
+        best.expect("at least the identity transform exists");
+    let transform = NpnTransform {
+        input_flips,
+        perm: perms[p].clone(),
+        output_flip,
+    };
+    (canon, transform)
 }
 
 #[cfg(test)]
@@ -171,6 +167,29 @@ mod tests {
         }
         assert!(classes.len() <= 64);
         assert!(classes.len() > 5, "random sample spans several classes");
+    }
+
+    /// The number of distinct canonical forms over all `nvars`-variable
+    /// functions.
+    fn class_count(nvars: usize) -> usize {
+        let classes: std::collections::HashSet<Tt> = (0..1u64 << (1 << nvars))
+            .map(|bits| canonize(&Tt::from_u64(nvars, bits)).0)
+            .collect();
+        classes.len()
+    }
+
+    #[test]
+    fn three_var_functions_fall_into_14_classes() {
+        assert_eq!(class_count(3), 14);
+    }
+
+    #[test]
+    fn four_var_functions_fall_into_222_classes() {
+        if cfg!(debug_assertions) {
+            eprintln!("skipping the exhaustive 4-variable count: debug build (run with --release)");
+            return;
+        }
+        assert_eq!(class_count(4), 222);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! For every node `n`, a reconvergence-driven window of at most 8 leaves is
 //! computed. The exact truth tables (with respect to the window leaves) of
-//! every node inside the window are derived; a *divisor* is a window node
-//! outside the MFFC of `n`. The pass replaces `n` by:
+//! every node inside the window are derived in one topological sweep; a
+//! *divisor* is a window node outside the MFFC of `n`. The pass replaces
+//! `n` by:
 //!
 //! - **resub-0**: a single divisor equal (or complement-equal) to `n`, or
 //! - **resub-1**: a one-gate combination `g(d1, d2)` with
@@ -16,7 +17,6 @@
 //! needed.
 
 use crate::aig::{Aig, Lit, Var};
-use crate::cut::{cut_function, Cut};
 use crate::mffc::{mffc_nodes, mffc_size};
 use crate::passes::window::{reconvergence_cut, window_volume};
 use crate::truth::Tt;
@@ -32,6 +32,10 @@ pub fn resub(aig: &Aig, zero_cost: bool) -> Aig {
     let mut refs = aig.fanout_counts();
     let mut new = Aig::new();
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
+    // Window truth tables by node, valid for the current window only, and
+    // the divisor list; both are reused across nodes.
+    let mut tables: Vec<Tt> = vec![Tt::zero(0); aig.num_nodes()];
+    let mut divisors: Vec<(Var, Tt)> = Vec::with_capacity(MAX_DIVISORS);
     for i in 0..aig.num_inputs() {
         map[aig.inputs()[i] as usize] = new.add_named_input(aig.input_name(i).to_string());
     }
@@ -57,20 +61,18 @@ pub fn resub(aig: &Aig, zero_cost: bool) -> Aig {
         let in_mffc: HashSet<Var> = mffc_nodes(aig, v, &leaf_set, &mut refs)
             .into_iter()
             .collect();
-        let cut = make_cut(&leaves);
-        let target_tt = cut_function(aig, v, &cut);
+        window_tables(aig, &leaves, &volume, &mut tables);
+        let target_tt = tables[v as usize];
 
         // Divisors: window nodes (and the leaves themselves) outside the
         // MFFC of v.
-        let mut divisors: Vec<(Var, Tt)> = Vec::new();
-        for &l in &leaves {
-            divisors.push((l, leaf_tt(&leaves, l)));
-        }
+        divisors.clear();
+        divisors.extend(leaves.iter().map(|&l| (l, tables[l as usize])));
         for &w in &volume {
             if w == v || in_mffc.contains(&w) {
                 continue;
             }
-            divisors.push((w, cut_function(aig, w, &cut)));
+            divisors.push((w, tables[w as usize]));
             if divisors.len() >= MAX_DIVISORS {
                 break;
             }
@@ -94,11 +96,11 @@ pub fn resub(aig: &Aig, zero_cost: bool) -> Aig {
         if chosen.is_none() && (credit >= 2 || zero_cost) {
             'outer: for i in 0..divisors.len() {
                 for j in (i + 1)..divisors.len() {
-                    let (d1, t1) = &divisors[i];
-                    let (d2, t2) = &divisors[j];
-                    if let Some(build) = match_gate(t1, t2, &target_tt) {
-                        let l1 = map[*d1 as usize];
-                        let l2 = map[*d2 as usize];
+                    let (d1, t1) = divisors[i];
+                    let (d2, t2) = divisors[j];
+                    if let Some(build) = match_gate(&t1, &t2, &target_tt) {
+                        let l1 = map[d1 as usize];
+                        let l2 = map[d2 as usize];
                         let cp = new.checkpoint();
                         let lit = build.construct(&mut new, l1, l2);
                         let added = (new.checkpoint() - cp) as isize;
@@ -125,22 +127,28 @@ pub fn resub(aig: &Aig, zero_cost: bool) -> Aig {
     new.compact()
 }
 
-fn make_cut(sorted_leaves: &[Var]) -> Cut {
-    let mut cut = Cut::trivial(sorted_leaves[0]);
-    for &l in &sorted_leaves[1..] {
-        cut = cut
-            .merge(&Cut::trivial(l), sorted_leaves.len())
-            .expect("distinct sorted leaves always merge");
+/// Writes the truth table of every window node over the sorted `leaves`
+/// into `tables` (indexed by node): leaf `i` is variable `i`, the constant
+/// node is false, and each `volume` node, given in topological order, is
+/// the AND of its fanins' tables.
+fn window_tables(aig: &Aig, leaves: &[Var], volume: &[Var], tables: &mut [Tt]) {
+    let nvars = leaves.len();
+    tables[0] = Tt::zero(nvars);
+    for (i, &l) in leaves.iter().enumerate() {
+        tables[l as usize] = Tt::var(i, nvars);
     }
-    cut
-}
-
-fn leaf_tt(sorted_leaves: &[Var], leaf: Var) -> Tt {
-    let idx = sorted_leaves
-        .iter()
-        .position(|&l| l == leaf)
-        .expect("leaf is in the cut");
-    Tt::var(idx, sorted_leaves.len())
+    let fanin = |tables: &[Tt], lit: Lit| {
+        let t = tables[lit.var() as usize];
+        if lit.is_complement() {
+            t.not()
+        } else {
+            t
+        }
+    };
+    for &w in volume {
+        let (a, b) = aig.and_fanins(w).expect("window volume holds AND nodes");
+        tables[w as usize] = fanin(tables, a).and(&fanin(tables, b));
+    }
 }
 
 /// A two-divisor gate that realises the target function.
@@ -169,28 +177,29 @@ impl GateMatch {
 /// any. AND with all phase combinations covers OR/NOR/NAND/ANDNOT via
 /// De Morgan; XOR covers XNOR via the output phase.
 fn match_gate(t1: &Tt, t2: &Tt, target: &Tt) -> Option<GateMatch> {
+    let not_target = target.not();
     for c1 in [false, true] {
         for c2 in [false, true] {
-            let a = if c1 { t1.not() } else { t1.clone() };
-            let b = if c2 { t2.not() } else { t2.clone() };
+            let a = if c1 { t1.not() } else { *t1 };
+            let b = if c2 { t2.not() } else { *t2 };
             let g = a.and(&b);
-            if &g == target {
+            if g == *target {
                 return Some(GateMatch::And {
                     c1,
                     c2,
                     cout: false,
                 });
             }
-            if g.not() == *target {
+            if g == not_target {
                 return Some(GateMatch::And { c1, c2, cout: true });
             }
         }
     }
     let x = t1.xor(t2);
-    if &x == target {
+    if x == *target {
         return Some(GateMatch::Xor { cout: false });
     }
-    if x.not() == *target {
+    if x == not_target {
         return Some(GateMatch::Xor { cout: true });
     }
     None
@@ -258,7 +267,7 @@ mod tests {
         assert!(match_gate(&t1, &t2, &xor).is_some());
         assert!(match_gate(&t1, &t2, &and.not()).is_some());
         // A function not expressible by one gate of t1,t2.
-        let only_t1 = t1.clone();
+        let only_t1 = t1;
         assert!(match_gate(&t1, &t2, &only_t1).is_none());
     }
 }

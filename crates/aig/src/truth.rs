@@ -1,14 +1,21 @@
-//! Truth tables over up to 16 variables, stored as bit-parallel `u64` words.
+//! Truth tables over up to 8 variables, stored inline as four bit-parallel
+//! `u64` words.
 //!
 //! Truth tables are the workhorse of cut-based synthesis: a cut's function is
 //! computed by simulating the cone over the elementary variable tables, then
 //! canonised ([NPN](crate::npn)), matched, or re-synthesised
-//! ([ISOP](crate::isop)).
+//! ([ISOP](crate::isop)). Every caller stays within 8 variables (cuts are 4
+//! wide, `refactor` and `resub` windows 8, library cells at most 4), so a
+//! table is a fixed 256-bit value: [`Tt`] is `Copy` and no operation
+//! allocates.
 
 use std::fmt;
 
 /// Maximum number of variables supported by [`Tt`].
-pub const MAX_VARS: usize = 16;
+pub const MAX_VARS: usize = 8;
+
+/// Words backing every table: 2^8 bits.
+const WORDS: usize = 1 << (MAX_VARS - 6);
 
 const MASKS: [u64; 6] = [
     0xAAAA_AAAA_AAAA_AAAA,
@@ -24,6 +31,10 @@ const MASKS: [u64; 6] = [
 /// Bit `i` of the table is the function value for the input assignment whose
 /// binary encoding is `i` (variable 0 is the least significant).
 ///
+/// Bits beyond `2^nvars` (the high bits of a sub-6-variable word and the
+/// words a small table does not use) are always zero, so the derived `Eq`
+/// and `Hash` compare functions, not storage.
+///
 /// # Example
 ///
 /// ```
@@ -34,10 +45,10 @@ const MASKS: [u64; 6] = [
 /// assert_eq!(f.count_ones(), 1);
 /// assert!(f.get_bit(0b11));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tt {
     nvars: usize,
-    words: Vec<u64>,
+    words: [u64; WORDS],
 }
 
 fn words_for(nvars: usize) -> usize {
@@ -62,21 +73,19 @@ impl Tt {
     ///
     /// # Panics
     ///
-    /// Panics if `nvars > 16`.
+    /// Panics if `nvars > 8` ([`MAX_VARS`]).
     pub fn zero(nvars: usize) -> Self {
         assert!(nvars <= MAX_VARS, "at most {MAX_VARS} variables supported");
         Tt {
             nvars,
-            words: vec![0; words_for(nvars)],
+            words: [0; WORDS],
         }
     }
 
     /// The constant-true table over `nvars` variables.
     pub fn one(nvars: usize) -> Self {
         let mut tt = Tt::zero(nvars);
-        for w in &mut tt.words {
-            *w = u64::MAX;
-        }
+        tt.used_mut().fill(u64::MAX);
         tt.mask();
         tt
     }
@@ -85,24 +94,18 @@ impl Tt {
     ///
     /// # Panics
     ///
-    /// Panics if `var >= nvars` or `nvars > 16`.
+    /// Panics if `var >= nvars` or `nvars > 8`.
     pub fn var(var: usize, nvars: usize) -> Self {
         assert!(var < nvars, "variable {var} out of range for {nvars} vars");
         let mut tt = Tt::zero(nvars);
         if var < 6 {
-            for w in &mut tt.words {
-                *w = MASKS[var];
-            }
+            tt.used_mut().fill(MASKS[var]);
         } else {
             let stride = 1 << (var - 6);
-            let mut i = 0;
-            while i < tt.words.len() {
-                for j in 0..stride {
-                    if i + stride + j < tt.words.len() {
-                        tt.words[i + stride + j] = u64::MAX;
-                    }
+            for (i, w) in tt.used_mut().iter_mut().enumerate() {
+                if i & stride != 0 {
+                    *w = u64::MAX;
                 }
-                i += 2 * stride;
             }
         }
         tt.mask();
@@ -113,10 +116,12 @@ impl Tt {
     ///
     /// # Panics
     ///
-    /// Panics if `words.len()` does not match the word count for `nvars`.
+    /// Panics if `nvars > 8` or `words.len()` does not match the word count
+    /// for `nvars`.
     pub fn from_words(nvars: usize, words: Vec<u64>) -> Self {
+        let mut tt = Tt::zero(nvars);
         assert_eq!(words.len(), words_for(nvars));
-        let mut tt = Tt { nvars, words };
+        tt.used_mut().copy_from_slice(&words);
         tt.mask();
         tt
     }
@@ -124,18 +129,19 @@ impl Tt {
     /// Builds a ≤6-variable table from a single word.
     pub fn from_u64(nvars: usize, word: u64) -> Self {
         assert!(nvars <= 6);
-        let mut tt = Tt {
-            nvars,
-            words: vec![word],
-        };
+        let mut tt = Tt::zero(nvars);
+        tt.words[0] = word;
         tt.mask();
         tt
     }
 
     fn mask(&mut self) {
-        if self.nvars < 6 {
-            self.words[0] &= small_mask(self.nvars);
-        }
+        self.words[0] &= small_mask(self.nvars);
+    }
+
+    fn used_mut(&mut self) -> &mut [u64] {
+        let n = words_for(self.nvars);
+        &mut self.words[..n]
     }
 
     /// Number of variables.
@@ -143,9 +149,9 @@ impl Tt {
         self.nvars
     }
 
-    /// The underlying words.
+    /// The underlying words (one per 64 input assignments, at least one).
     pub fn words(&self) -> &[u64] {
-        &self.words
+        &self.words[..words_for(self.nvars)]
     }
 
     /// For tables of ≤6 variables, the single backing word.
@@ -159,12 +165,15 @@ impl Tt {
     }
 
     /// Reads the function value for input assignment `index`.
+    #[inline]
     pub fn get_bit(&self, index: usize) -> bool {
         (self.words[index >> 6] >> (index & 63)) & 1 != 0
     }
 
     /// Sets the function value for input assignment `index`.
+    #[inline]
     pub fn set_bit(&mut self, index: usize, value: bool) {
+        debug_assert!(index < self.num_bits(), "bit {index} out of range");
         if value {
             self.words[index >> 6] |= 1 << (index & 63);
         } else {
@@ -179,27 +188,25 @@ impl Tt {
 
     /// Number of minterms (assignments mapped to true).
     pub fn count_ones(&self) -> u32 {
-        if self.nvars < 6 {
-            (self.words[0] & small_mask(self.nvars)).count_ones()
-        } else {
-            self.words.iter().map(|w| w.count_ones()).sum()
-        }
+        self.words.iter().map(|w| w.count_ones()).sum()
     }
 
     /// Returns true if the table is constant false.
+    #[inline]
     pub fn is_zero(&self) -> bool {
-        self.count_ones() == 0
+        self.words == [0; WORDS]
     }
 
     /// Returns true if the table is constant true.
     pub fn is_one(&self) -> bool {
-        self.count_ones() as usize == self.num_bits()
+        *self == Tt::one(self.nvars)
     }
 
     /// Bitwise complement.
+    #[inline]
     pub fn not(&self) -> Tt {
-        let mut out = self.clone();
-        for w in &mut out.words {
+        let mut out = *self;
+        for w in out.used_mut() {
             *w = !*w;
         }
         out.mask();
@@ -211,41 +218,40 @@ impl Tt {
     /// # Panics
     ///
     /// Panics if the variable counts differ.
+    #[inline]
     pub fn and(&self, other: &Tt) -> Tt {
         self.zip(other, |a, b| a & b)
     }
 
     /// Bitwise OR.
+    #[inline]
     pub fn or(&self, other: &Tt) -> Tt {
         self.zip(other, |a, b| a | b)
     }
 
     /// Bitwise XOR.
+    #[inline]
     pub fn xor(&self, other: &Tt) -> Tt {
         self.zip(other, |a, b| a ^ b)
     }
 
-    fn zip(&self, other: &Tt, op: fn(u64, u64) -> u64) -> Tt {
+    /// Applies `op` word by word. Every operation used here maps two zero
+    /// bits to zero, so bits beyond `2^nvars` stay zero without masking.
+    #[inline]
+    fn zip(&self, other: &Tt, op: impl Fn(u64, u64) -> u64) -> Tt {
         assert_eq!(self.nvars, other.nvars, "variable counts differ");
-        let words = self
-            .words
-            .iter()
-            .zip(&other.words)
-            .map(|(&a, &b)| op(a, b))
-            .collect();
-        let mut tt = Tt {
+        Tt {
             nvars: self.nvars,
-            words,
-        };
-        tt.mask();
-        tt
+            words: std::array::from_fn(|i| op(self.words[i], other.words[i])),
+        }
     }
 
     /// Positive cofactor: the function with `var` fixed to 1 (the result
     /// still ranges over the same variable set, with `var` redundant).
+    #[inline]
     pub fn cofactor1(&self, var: usize) -> Tt {
         assert!(var < self.nvars);
-        let mut out = self.clone();
+        let mut out = *self;
         if var < 6 {
             let shift = 1usize << var;
             for w in &mut out.words {
@@ -254,23 +260,20 @@ impl Tt {
             }
         } else {
             let stride = 1 << (var - 6);
-            let n = out.words.len();
-            let mut i = 0;
-            while i < n {
-                for j in 0..stride {
-                    out.words[i + j] = out.words[i + stride + j];
+            for (i, w) in out.used_mut().iter_mut().enumerate() {
+                if i & stride == 0 {
+                    *w = self.words[i + stride];
                 }
-                i += 2 * stride;
             }
         }
-        out.mask();
         out
     }
 
     /// Negative cofactor: the function with `var` fixed to 0.
+    #[inline]
     pub fn cofactor0(&self, var: usize) -> Tt {
         assert!(var < self.nvars);
-        let mut out = self.clone();
+        let mut out = *self;
         if var < 6 {
             let shift = 1usize << var;
             for w in &mut out.words {
@@ -279,22 +282,32 @@ impl Tt {
             }
         } else {
             let stride = 1 << (var - 6);
-            let n = out.words.len();
-            let mut i = 0;
-            while i < n {
-                for j in 0..stride {
-                    out.words[i + stride + j] = out.words[i + j];
+            for (i, w) in out.used_mut().iter_mut().enumerate() {
+                if i & stride != 0 {
+                    *w = self.words[i - stride];
                 }
-                i += 2 * stride;
             }
         }
-        out.mask();
         out
     }
 
     /// Returns true if the function depends on `var`.
+    #[inline]
     pub fn depends_on(&self, var: usize) -> bool {
-        self.cofactor0(var) != self.cofactor1(var)
+        assert!(var < self.nvars);
+        if var < 6 {
+            // Compare each var = 0 bit with its var = 1 partner.
+            let shift = 1usize << var;
+            self.words
+                .iter()
+                .any(|&w| (w ^ (w >> shift)) & !MASKS[var] != 0)
+        } else {
+            let stride = 1 << (var - 6);
+            let words = self.words();
+            (0..words.len())
+                .filter(|i| i & stride == 0)
+                .any(|i| words[i] != words[i + stride])
+        }
     }
 
     /// The set of variables the function actually depends on.
@@ -305,7 +318,7 @@ impl Tt {
     /// Swaps two variables of the function.
     pub fn swap_vars(&self, a: usize, b: usize) -> Tt {
         if a == b {
-            return self.clone();
+            return *self;
         }
         let ta = Tt::var(a, self.nvars);
         let tb = Tt::var(b, self.nvars);
@@ -325,10 +338,21 @@ impl Tt {
 
     /// Flips (complements) one input variable of the function.
     pub fn flip_var(&self, var: usize) -> Tt {
-        let tv = Tt::var(var, self.nvars);
-        let c0 = self.cofactor0(var);
-        let c1 = self.cofactor1(var);
-        tv.and(&c0).or(&tv.not().and(&c1))
+        assert!(var < self.nvars);
+        let mut out = *self;
+        if var < 6 {
+            // Exchange every var = 0 bit with its var = 1 partner.
+            let shift = 1usize << var;
+            for w in &mut out.words {
+                *w = (*w & MASKS[var]) >> shift | (*w & !MASKS[var]) << shift;
+            }
+        } else {
+            let stride = 1 << (var - 6);
+            for (i, w) in out.used_mut().iter_mut().enumerate() {
+                *w = self.words[i ^ stride];
+            }
+        }
+        out
     }
 
     /// Applies an input permutation: output variable `i` takes the role of
@@ -363,7 +387,7 @@ impl Tt {
     pub fn extend_to(&self, nvars: usize) -> Tt {
         assert!(nvars >= self.nvars);
         if nvars == self.nvars {
-            return self.clone();
+            return *self;
         }
         let mut out = Tt::zero(nvars);
         let self_bits = self.num_bits();
@@ -379,7 +403,7 @@ impl Tt {
 impl fmt::Debug for Tt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tt({}v,", self.nvars)?;
-        for w in self.words.iter().rev() {
+        for w in self.words().iter().rev() {
             write!(f, " {w:016x}")?;
         }
         write!(f, ")")
@@ -489,6 +513,18 @@ mod tests {
         // A swap expressed as a permutation equals swap_vars.
         let swap = f.permute(&[1, 0, 2]);
         assert_eq!(swap, f.swap_vars(0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 variables")]
+    fn nine_variables_are_refused() {
+        let _ = Tt::zero(9);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 variables")]
+    fn nine_variable_words_are_refused() {
+        let _ = Tt::from_words(9, vec![0; 8]);
     }
 
     #[test]

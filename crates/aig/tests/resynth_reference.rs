@@ -93,7 +93,7 @@ proptest! {
             // so later builds hit the memo under a different `dest`.
             let tt = match (tables.len(), rng.random_range(0..4u32)) {
                 (0, _) | (_, 0) => random_table(&mut rng, nvars),
-                (n, 1) => tables[rng.random_range(0..n)].clone(),
+                (n, 1) => tables[rng.random_range(0..n)],
                 (n, 2) => tables[rng.random_range(0..n)].not(),
                 (n, _) => tables[rng.random_range(0..n)].cofactor1(rng.random_range(0..nvars)),
             };

@@ -104,8 +104,8 @@ pub struct CellMatch {
 #[derive(Clone, Debug)]
 pub struct CellLibrary {
     cells: Vec<Cell>,
-    /// NPN canon (words, nvars) → cells in that class.
-    class_index: HashMap<(usize, Vec<u64>), Vec<usize>>,
+    /// NPN canon `(nvars, table word)` → cells in that class.
+    class_index: HashMap<(usize, u64), Vec<usize>>,
     inv_cell: usize,
     buf_cell: usize,
     tie0_cell: usize,
@@ -132,7 +132,7 @@ impl CellLibrary {
         let buf_cell = find("BUF");
         let tie0_cell = find("TIE0");
         let tie1_cell = find("TIE1");
-        let mut class_index: HashMap<(usize, Vec<u64>), Vec<usize>> = HashMap::new();
+        let mut class_index: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
         for (i, cell) in cells.iter().enumerate() {
             assert!(cell.num_inputs() <= 4, "cells are limited to 4 inputs");
             if cell.num_inputs() == 0 {
@@ -140,7 +140,7 @@ impl CellLibrary {
             }
             let (canon, _) = canonize(&cell.function);
             class_index
-                .entry((cell.num_inputs(), canon.words().to_vec()))
+                .entry((cell.num_inputs(), canon.as_u64()))
                 .or_default()
                 .push(i);
         }
@@ -227,7 +227,7 @@ impl CellLibrary {
             "MUX2",
             // s ? b : a with pins (a, b, s).
             {
-                let s = c3.clone();
+                let s = c3;
                 s.and(&b3).or(&s.not().and(&a3))
             },
             1.862,
@@ -310,34 +310,37 @@ impl CellLibrary {
             return Vec::new();
         }
         let (canon, _) = canonize(function);
-        let Some(candidates) = self.class_index.get(&(n, canon.words().to_vec())) else {
+        let Some(candidates) = self.class_index.get(&(n, canon.as_u64())) else {
             return Vec::new();
         };
+        let perms = permutations(n);
         let mut matches = Vec::new();
         for &ci in candidates {
             let cell_f = &self.cells[ci].function;
             // Brute-force bind: pins permuted, leaves flipped, output
-            // phase.
-            for perm in permutations(n) {
+            // phase. Flipping pin `p` flips the leaf `perm[p]` it reads, so
+            // each permutation is bound once and the flips are applied to
+            // the bound function.
+            for perm in &perms {
+                let unflipped = bind(cell_f, perm);
                 for flips in 0..(1u32 << n) {
-                    // Build the function computed by the bound cell:
-                    // pin p reads leaf perm[p], complemented per flips.
-                    let bound = bind(cell_f, &perm, flips);
-                    if &bound == function {
-                        matches.push(CellMatch {
-                            cell: ci,
-                            pin_to_leaf: perm.clone(),
-                            leaf_flips: flips_as_leaf_mask(&perm, flips),
-                            output_flip: false,
-                        });
+                    let leaf_flips = flips_as_leaf_mask(perm, flips);
+                    let bound = (0..n)
+                        .filter(|&leaf| leaf_flips >> leaf & 1 != 0)
+                        .fold(unflipped, |f, leaf| f.flip_var(leaf));
+                    let output_flip = if bound == *function {
+                        false
                     } else if bound.not() == *function {
-                        matches.push(CellMatch {
-                            cell: ci,
-                            pin_to_leaf: perm.clone(),
-                            leaf_flips: flips_as_leaf_mask(&perm, flips),
-                            output_flip: true,
-                        });
-                    }
+                        true
+                    } else {
+                        continue;
+                    };
+                    matches.push(CellMatch {
+                        cell: ci,
+                        pin_to_leaf: perm.clone(),
+                        leaf_flips,
+                        output_flip,
+                    });
                 }
             }
         }
@@ -346,25 +349,17 @@ impl CellLibrary {
 }
 
 /// Computes the function of a cell whose pin `p` is driven by variable
-/// `perm[p]`, complemented iff bit `p` of `pin_flips` is set.
-fn bind(cell_f: &Tt, perm: &[usize], pin_flips: u32) -> Tt {
+/// `perm[p]`.
+fn bind(cell_f: &Tt, perm: &[usize]) -> Tt {
     let n = cell_f.nvars();
     let mut out = Tt::zero(n);
     for idx in 0..out.num_bits() {
         // Determine each pin's value from the leaf assignment `idx`.
-        let mut pin_idx = 0usize;
-        for (p, &leaf) in perm.iter().enumerate() {
-            let mut val = (idx >> leaf) & 1 != 0;
-            if pin_flips >> p & 1 != 0 {
-                val = !val;
-            }
-            if val {
-                pin_idx |= 1 << p;
-            }
-        }
-        if cell_f.get_bit(pin_idx) {
-            out.set_bit(idx, true);
-        }
+        let pin_idx = perm
+            .iter()
+            .enumerate()
+            .fold(0usize, |acc, (p, &leaf)| acc | (idx >> leaf & 1) << p);
+        out.set_bit(idx, cell_f.get_bit(pin_idx));
     }
     out
 }

@@ -7,12 +7,19 @@
 //! Additional iterations re-run the DP with fanout counts measured on the
 //! previous cover — the classical "area recovery" loop, which is what the
 //! `+opt` (extreme optimisation) setting of the paper's Table III maps to.
+//!
+//! Cut functions and their matches depend on the structure alone, so each
+//! call derives them once, before the first DP iteration, and matches each
+//! distinct function once: [`CellLibrary::matches_for`] canonises and binds
+//! per distinct support-compressed function, not per node, cut and
+//! iteration.
 
 use crate::cell::{CellLibrary, CellMatch};
 use crate::netlist::{MappedNetlist, NetId};
 use almost_aig::cut::{cut_function, CutConfig, CutSet};
 use almost_aig::{Aig, Tt, Var};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Mapper configuration.
 #[derive(Clone, Copy, Debug)]
@@ -49,16 +56,32 @@ impl MapConfig {
     }
 }
 
-/// Per-node mapping decision.
-#[derive(Clone, Debug)]
-enum Choice {
+/// One way to implement a node from one of its cuts, derived once per
+/// call (it depends on the structure alone).
+#[derive(Clone, Copy, Debug)]
+enum Candidate {
+    /// The cut function is a (possibly complemented) copy of one leaf.
+    Wire { leaf: Var, flip: bool },
+    /// The cut function over its support leaves (the first `num_leaves`
+    /// of `leaves`); `class` indexes its matches in the per-call memo.
+    Bind {
+        leaves: [Var; 4],
+        num_leaves: usize,
+        class: usize,
+    },
+}
+
+/// Per-node mapping decision, borrowing from the call's candidates and
+/// match memo.
+#[derive(Clone, Copy, Debug)]
+enum Choice<'a> {
     /// The node is functionally a (possibly complemented) copy of another
     /// node.
     Wire { leaf: Var, flip: bool },
     /// A bound library cell over the given (support-compressed) leaves.
     Bind {
-        leaves: Vec<Var>,
-        cell_match: CellMatch,
+        leaves: &'a [Var],
+        cell_match: &'a CellMatch,
     },
 }
 
@@ -84,6 +107,54 @@ pub fn map_aig(aig: &Aig, library: &CellLibrary, config: &MapConfig) -> MappedNe
     let inv_area = library.cell(library.inverter()).area();
     let inv_delay = library.cell(library.inverter()).delay();
 
+    // Every node's candidates, in cut order, and the matches of each
+    // distinct support-compressed function, keyed by `(nvars, table)`.
+    let mut candidates: Vec<Candidate> = Vec::new();
+    let mut spans: Vec<Range<usize>> = vec![0..0; aig.num_nodes()];
+    let mut class_of: HashMap<(usize, u64), usize> = HashMap::new();
+    let mut classes: Vec<Vec<CellMatch>> = Vec::new();
+    for v in aig.iter_ands() {
+        let start = candidates.len();
+        for cut in cuts.cuts_of(v) {
+            if cut.leaves() == [v] {
+                continue;
+            }
+            let tt = cut_function(aig, v, cut);
+            let mut support = [0usize; 4];
+            let mut leaves = [0 as Var; 4];
+            let mut num_leaves = 0;
+            for s in (0..tt.nvars()).filter(|&s| tt.depends_on(s)) {
+                support[num_leaves] = s;
+                leaves[num_leaves] = cut.leaves()[s];
+                num_leaves += 1;
+            }
+            if num_leaves == 0 {
+                continue; // constant nodes cannot exist in a hashed AIG
+            }
+            let ctt = compress(&tt, &support[..num_leaves]);
+            if num_leaves == 1 {
+                let flip = ctt.get_bit(0); // f(0)=1 means complement
+                candidates.push(Candidate::Wire {
+                    leaf: leaves[0],
+                    flip,
+                });
+                continue;
+            }
+            let class = *class_of
+                .entry((num_leaves, ctt.as_u64()))
+                .or_insert_with(|| {
+                    classes.push(library.matches_for(&ctt));
+                    classes.len() - 1
+                });
+            candidates.push(Candidate::Bind {
+                leaves,
+                num_leaves,
+                class,
+            });
+        }
+        spans[v as usize] = start..candidates.len();
+    }
+
     let mut refs: Vec<f64> = aig.fanout_counts().iter().map(|&r| r as f64).collect();
     let mut choices: Vec<Option<Choice>> = vec![None; aig.num_nodes()];
 
@@ -92,26 +163,21 @@ pub fn map_aig(aig: &Aig, library: &CellLibrary, config: &MapConfig) -> MappedNe
         let mut arrival = vec![0.0f64; aig.num_nodes()];
         for v in aig.iter_ands() {
             let mut best: Option<(f64, f64, Choice)> = None;
-            for cut in cuts.cuts_of(v) {
-                if cut.leaves() == [v] {
-                    continue;
-                }
-                let tt = cut_function(aig, v, cut);
-                let support = tt.support();
-                if support.is_empty() {
-                    continue; // constant nodes cannot exist in a hashed AIG
-                }
-                let leaves: Vec<Var> = support.iter().map(|&s| cut.leaves()[s]).collect();
-                let ctt = compress(&tt, &support);
-                if support.len() == 1 {
-                    let flip = ctt.get_bit(0); // f(0)=1 means complement
-                    let leaf = leaves[0];
-                    let cost = flow[leaf as usize] + if flip { inv_area } else { 0.0 };
-                    let arr = arrival[leaf as usize] + if flip { inv_delay } else { 0.0 };
-                    consider(&mut best, cost, arr, Choice::Wire { leaf, flip });
-                    continue;
-                }
-                for m in library.matches_for(&ctt) {
+            for cand in &candidates[spans[v as usize].clone()] {
+                let (leaves, class) = match cand {
+                    &Candidate::Wire { leaf, flip } => {
+                        let cost = flow[leaf as usize] + if flip { inv_area } else { 0.0 };
+                        let arr = arrival[leaf as usize] + if flip { inv_delay } else { 0.0 };
+                        consider(&mut best, cost, arr, Choice::Wire { leaf, flip });
+                        continue;
+                    }
+                    Candidate::Bind {
+                        leaves,
+                        num_leaves,
+                        class,
+                    } => (&leaves[..*num_leaves], *class),
+                };
+                for m in &classes[class] {
                     let cell = library.cell(m.cell);
                     let mut cost = cell.area();
                     let mut arr: f64 = 0.0;
@@ -131,7 +197,7 @@ pub fn map_aig(aig: &Aig, library: &CellLibrary, config: &MapConfig) -> MappedNe
                         cost,
                         arr,
                         Choice::Bind {
-                            leaves: leaves.clone(),
+                            leaves,
                             cell_match: m,
                         },
                     );
@@ -150,7 +216,12 @@ pub fn map_aig(aig: &Aig, library: &CellLibrary, config: &MapConfig) -> MappedNe
     emit(aig, library, &choices)
 }
 
-fn consider(best: &mut Option<(f64, f64, Choice)>, cost: f64, arr: f64, choice: Choice) {
+fn consider<'a>(
+    best: &mut Option<(f64, f64, Choice<'a>)>,
+    cost: f64,
+    arr: f64,
+    choice: Choice<'a>,
+) {
     let better = match best {
         None => true,
         Some((bc, ba, _)) => cost < *bc - 1e-12 || (cost < *bc + 1e-12 && arr < *ba - 1e-12),
@@ -193,13 +264,10 @@ fn measure_usage(aig: &Aig, choices: &[Option<Choice>]) -> Vec<f64> {
             continue;
         }
         visited[v as usize] = true;
-        match choices[v as usize]
-            .as_ref()
-            .expect("AND nodes have choices")
-        {
+        match choices[v as usize].expect("AND nodes have choices") {
             Choice::Wire { leaf, .. } => {
-                usage[*leaf as usize] += 1.0;
-                stack.push(*leaf);
+                usage[leaf as usize] += 1.0;
+                stack.push(leaf);
             }
             Choice::Bind { leaves, .. } => {
                 for &l in leaves {
@@ -236,12 +304,12 @@ fn emit(aig: &Aig, library: &CellLibrary, choices: &[Option<Choice>]) -> MappedN
         if usage[v as usize] == 0.0 {
             continue;
         }
-        match choices[v as usize].as_ref().expect("covered AND") {
+        match choices[v as usize].expect("covered AND") {
             Choice::Wire { leaf, flip } => {
                 // Alias: the node's nets are the leaf's nets (swapped on
                 // flip).
-                let (lp, ln) = (pos.get(leaf).copied(), neg.get(leaf).copied());
-                let (p, n) = if *flip { (ln, lp) } else { (lp, ln) };
+                let (lp, ln) = (pos.get(&leaf).copied(), neg.get(&leaf).copied());
+                let (p, n) = if flip { (ln, lp) } else { (lp, ln) };
                 if let Some(p) = p {
                     pos.insert(v, p);
                 }
@@ -250,7 +318,7 @@ fn emit(aig: &Aig, library: &CellLibrary, choices: &[Option<Choice>]) -> MappedN
                 }
                 // Ensure at least one polarity exists.
                 if !pos.contains_key(&v) && !neg.contains_key(&v) {
-                    let src = net_for(&mut nl, library, &mut pos, &mut neg, *leaf, *flip);
+                    let src = net_for(&mut nl, library, &mut pos, &mut neg, leaf, flip);
                     pos.insert(v, src);
                 }
             }
